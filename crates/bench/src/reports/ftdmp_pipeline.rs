@@ -12,11 +12,12 @@
 //! repeat; each path reports its best sweep.
 //!
 //! Besides the speedup the artifact records the two acceptance facts the
-//! schedule is sold on: `S = 0` bit-identity against the barrier
-//! schedule, and the accuracy ordering Base ≥ NDPipe > Outdated (Base is
-//! the Tuner's full-precision master, NDPipe a store replica rebuilt
-//! from 8-bit Check-N-Run deltas — ties allowed — and Outdated the
-//! never-fine-tuned initial model).
+//! schedule is sold on: `S = 0` bit-identity against the reference
+//! barrier schedule (`ftdmp_fine_tune_reference`), and the accuracy
+//! ordering Base ≥ NDPipe > Outdated (Base is the Tuner's
+//! full-precision master, NDPipe a store replica rebuilt from 8-bit
+//! Check-N-Run deltas — ties allowed — and Outdated the never-fine-tuned
+//! initial model).
 
 use crate::util::{fmt, Report};
 use dnn::{Mlp, TrainConfig, Trainer};
@@ -300,21 +301,24 @@ fn measure_pinned(p: &PipelineParams) -> PipelineMeasurements {
     let quorum = p.peers.saturating_sub(1).max(1);
     let delay = Duration::from_micros(p.slow_row_delay_us);
 
-    // Oracle first: S = 0 pipelined vs the barrier schedule, bit for bit,
-    // on a healthy fleet (no straggler — this checks semantics, not
-    // speed, and one round keeps it cheap).
+    // Oracle first: S = 0 over sockets vs the in-process reference
+    // schedule on local clones of the same shards, bit for bit, on a
+    // healthy fleet (no straggler — this checks semantics, not speed,
+    // and one round keeps it cheap).
     let s0 = FtdmpConfig {
         staleness: 0,
         ..ft
     };
     let mut ref_tuner = Tuner::new(model.clone(), train);
     let mut ref_rng = StdRng::seed_from_u64(9_201);
-    let (servers, addrs) = spawn_fleet(&shards, &map, None);
-    let cluster = connect(&addrs, &map, quorum);
-    let reference = cluster
-        .ftdmp_fine_tune_with(&mut ref_tuner, &s0, &mut ref_rng, Some(&map))
-        .expect("barrier oracle job");
-    drain(cluster, servers);
+    let mut ref_stores: Vec<PipeStore> = shards
+        .iter()
+        .enumerate()
+        .map(|(i, shard)| PipeStore::new(i, shard.clone()))
+        .collect();
+    let reference =
+        ndpipe::ftdmp_fine_tune_reference(&mut ref_tuner, &mut ref_stores, &s0, &mut ref_rng)
+            .expect("reference oracle job");
 
     let mut s0_tuner = Tuner::new(model.clone(), train);
     let mut s0_rng = StdRng::seed_from_u64(9_201);
@@ -324,14 +328,18 @@ fn measure_pinned(p: &PipelineParams) -> PipelineMeasurements {
         .ftdmp_fine_tune_pipelined(&mut s0_tuner, &s0, 1, &mut s0_rng, Some(&map))
         .expect("pipelined oracle job");
     drain(cluster, servers);
-    let s0_bit_identical = reference.failures.is_empty()
-        && oracle.failures.is_empty()
-        && reference.report.run_losses == oracle.report.run_losses
-        && reference.report.examples == oracle.report.examples
+    let s0_bit_identical = oracle.failures.is_empty()
+        && reference.run_losses == oracle.report.run_losses
+        && reference.examples == oracle.report.examples
         && ref_tuner.model().to_bytes() == s0_tuner.model().to_bytes();
 
     // Timed sweeps: interleave barrier and pipelined, fresh fleet and
     // fresh seeds each sweep so neither path warms the other.
+    let barrier = FtdmpConfig {
+        staleness: 0,
+        micro_batch: usize::MAX,
+        ..ft
+    };
     let mut barrier_runs = Vec::with_capacity(p.repeats);
     let mut pipelined_runs = Vec::with_capacity(p.repeats);
     let mut micro_batches = 0;
@@ -341,7 +349,9 @@ fn measure_pinned(p: &PipelineParams) -> PipelineMeasurements {
     let mut base_top1 = 0.0;
     let mut ndpipe_top1 = 0.0;
     for _ in 0..p.repeats.max(1) {
-        // Barrier: `rounds` sequential run-at-a-time jobs.
+        // Barrier: `rounds` sequential run-at-a-time jobs — the same
+        // entry point at S = 0, one extraction per peer per run, and no
+        // placement map to steal through.
         let mut tuner = Tuner::new(model.clone(), train);
         let mut sweep_rng = StdRng::seed_from_u64(31_337);
         let (servers, addrs) = spawn_fleet(&shards, &map, Some(delay));
@@ -349,7 +359,7 @@ fn measure_pinned(p: &PipelineParams) -> PipelineMeasurements {
         let t = Instant::now();
         for _ in 0..p.rounds {
             let out = cluster
-                .ftdmp_fine_tune_with(&mut tuner, &ft, &mut sweep_rng, Some(&map))
+                .ftdmp_fine_tune_pipelined(&mut tuner, &barrier, 1, &mut sweep_rng, None)
                 .expect("barrier sweep");
             assert!(out.failures.is_empty(), "barrier: {:?}", out.failures);
         }

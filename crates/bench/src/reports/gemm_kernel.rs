@@ -15,7 +15,7 @@ use rand::SeedableRng;
 use std::time::Instant;
 use tensor::linalg::{self, Gemm};
 use tensor::pack::{MR, NR};
-use tensor::Tensor;
+use tensor::{MathPolicy, Tensor};
 
 /// Workload knobs (exposed so tests can run a tiny configuration).
 #[derive(Debug, Clone, Copy)]
@@ -134,7 +134,15 @@ pub fn measure_with(p: &BenchParams) -> GemmMeasurements {
         secs,
     });
     for threads in [1usize, 2, 4] {
-        let (secs, gflops) = time_best(p, &oracle, || Gemm::new(&a, &b).threads(threads).run());
+        // Pinned: bit-identity to the reference is the Deterministic
+        // family's contract (`gemm_fast` measures the others), whatever
+        // `NDPIPE_MATH` makes the process default.
+        let (secs, gflops) = time_best(p, &oracle, || {
+            Gemm::new(&a, &b)
+                .threads(threads)
+                .policy(MathPolicy::Deterministic)
+                .run()
+        });
         points.push(GemmPoint {
             kernel: "packed",
             threads,

@@ -8,16 +8,19 @@
 //! run *r*, PipeStores already extract features for run *r + 1*
 //! (Fig 10b).
 //!
-//! [`ftdmp_fine_tune`] implements that overlap as a 1F1B-style
-//! micro-batch schedule: each run's per-store slice is further split
-//! into micro-batches that worker threads claim dynamically (with work
-//! stealing across stores), while the Tuner trains runs in order on the
-//! caller thread as soon as their features are complete. A staleness
-//! bound `S` ([`FtdmpConfig::staleness`]) caps how many runs extraction
-//! may lead training; `S = 0` degenerates to the historical
-//! run-at-a-time barrier schedule, preserved verbatim as
+//! That overlap is a 1F1B-style micro-batch schedule whose every
+//! decision lives in the pure state machine [`schedule::Schedule`]:
+//! each run's per-store slice is further split into micro-batches that
+//! extractors claim dynamically (with work stealing across stores),
+//! while the Tuner trains runs in order as soon as their features are
+//! complete. [`ftdmp_fine_tune`] drives it with in-process worker
+//! threads; `Cluster::ftdmp_fine_tune_pipelined` drives the same
+//! machine over sockets. A staleness bound `S`
+//! ([`FtdmpConfig::staleness`]) caps how many runs extraction may lead
+//! training; `S = 0` *is* the run-at-a-time barrier schedule, whose
+//! historical implementation is preserved verbatim as
 //! [`ftdmp_fine_tune_reference`] — the oracle the equivalence tests pin
-//! the pipeline against. Because features depend only on the *frozen*
+//! both drivers against. Because features depend only on the *frozen*
 //! prefix, any `S` produces bit-identical features; the schedule only
 //! changes wall-clock overlap, never results.
 //!
@@ -26,12 +29,15 @@
 //! behaviour of the same orchestration at data-center scale is modeled
 //! by `cluster::training` and driven from [`crate::apo`].
 
+pub mod schedule;
+
 use crate::npe::engine::EngineConfig;
 use crate::pipestore::PipeStore;
 use crate::tuner::Tuner;
 use dnn::TrainConfig;
 use rand::Rng;
-use std::collections::VecDeque;
+use schedule::{slice_bounds, Schedule, SliceTask};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 use tensor::Tensor;
@@ -65,6 +71,23 @@ pub enum FtdmpError {
         /// Classes the model can emit.
         model_classes: usize,
     },
+    /// A shard's rows are not as wide as the Tuner model's input.
+    FeatureWidthMismatch {
+        /// Offending store id.
+        store: usize,
+        /// Width of its shard's rows.
+        shard_width: usize,
+        /// Input width the model expects.
+        model_width: usize,
+    },
+    /// An extraction worker panicked; the job stopped instead of
+    /// training on a partial run.
+    ExtractionFailed {
+        /// Index of the store whose slice was being extracted.
+        store: usize,
+        /// The pipeline run the slice belonged to.
+        run: usize,
+    },
 }
 
 impl std::fmt::Display for FtdmpError {
@@ -89,6 +112,17 @@ impl std::fmt::Display for FtdmpError {
                 "store {store} shard has {shard_classes} classes but the model has \
                  {model_classes}: widen the Tuner model before fine-tuning on new classes"
             ),
+            FtdmpError::FeatureWidthMismatch {
+                store,
+                shard_width,
+                model_width,
+            } => write!(
+                f,
+                "store {store} shard rows are {shard_width} wide but the model takes {model_width}"
+            ),
+            FtdmpError::ExtractionFailed { store, run } => {
+                write!(f, "extraction of store {store} run {run} panicked")
+            }
         }
     }
 }
@@ -203,6 +237,13 @@ fn validate(
                 model_classes: tuner.model().num_classes(),
             });
         }
+        if s.shard().input_dim() != tuner.model().input_dim() {
+            return Err(FtdmpError::FeatureWidthMismatch {
+                store: s.id(),
+                shard_width: s.shard().input_dim(),
+                model_width: tuner.model().input_dim(),
+            });
+        }
     }
     Ok(())
 }
@@ -215,16 +256,36 @@ fn phase_hist(phase: &str) -> telemetry::Histogram {
     )
 }
 
-fn record_job_counters(feature_bytes: usize, schedule: &ScheduleStats) {
+/// Which driver ran a job: the in-process one or the socket one. Picks
+/// the round counter; every other job metric is shared.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Origin {
+    Local,
+    Remote,
+}
+
+/// Job-level telemetry for both drivers.
+pub(crate) fn record_job(
+    origin: Origin,
+    rounds: usize,
+    feature_bytes: usize,
+    schedule: &ScheduleStats,
+) {
     if !telemetry::enabled() {
         return;
     }
     let g = telemetry::global();
-    g.counter(
-        "ndpipe_ftdmp_rounds_total",
-        "completed in-process FT-DMP fine-tuning rounds",
-    )
-    .inc();
+    match origin {
+        Origin::Local => g.counter(
+            "ndpipe_ftdmp_rounds_total",
+            "completed in-process FT-DMP fine-tuning rounds",
+        ),
+        Origin::Remote => g.counter(
+            "ndpipe_ftdmp_remote_rounds_total",
+            "completed remote FT-DMP fine-tuning rounds",
+        ),
+    }
+    .add(rounds as u64);
     g.counter(
         "ndpipe_ftdmp_feature_bytes_total",
         "feature bytes shipped from PipeStores to the Tuner",
@@ -247,91 +308,117 @@ fn record_job_counters(feature_bytes: usize, schedule: &ScheduleStats) {
     .observe(schedule.bubble_secs);
 }
 
-/// One pending micro-batch extraction: rows `lo..hi` of `store`'s shard
-/// for pipeline run `run`, micro-batch index `mb` within that run.
-#[derive(Debug, Clone, Copy)]
-struct MicroBatch {
-    store: usize,
-    run: usize,
-    mb: usize,
-    lo: usize,
-    hi: usize,
-}
+/// The in-process transport under [`Schedule`]: `n_workers` scoped
+/// threads claim tasks and run `extract` on them while the caller
+/// thread trains runs in order as they complete. One mutex guards the
+/// schedule and one condvar covers both wake directions (worker→Tuner
+/// "run complete", Tuner→worker "staleness window advanced"). A worker
+/// whose extraction panics records the job's fatal error, which stops
+/// every thread instead of leaving the Tuner waiting. The returned
+/// report's distribution fields are the caller's to fill.
+fn drive<R, E>(
+    tuner: &mut Tuner,
+    sched: Schedule,
+    config: &FtdmpConfig,
+    n_workers: usize,
+    rng: &mut R,
+    extract: E,
+) -> Result<FtdmpReport, FtdmpError>
+where
+    R: Rng + ?Sized,
+    E: Fn(&SliceTask) -> (Tensor, Vec<usize>) + Sync,
+{
+    struct Shared {
+        sched: Schedule,
+        fatal: Option<FtdmpError>,
+    }
+    let total_runs = sched.total_runs();
+    let state = Mutex::new(Shared { sched, fatal: None });
+    let lock = || state.lock().unwrap_or_else(|e| e.into_inner());
+    let wake = Condvar::new();
+    let record = telemetry::enabled();
+    let mut report = FtdmpReport {
+        run_losses: Vec::with_capacity(total_runs),
+        feature_bytes: 0,
+        distribution_bytes: 0,
+        distribution_reduction: 1.0,
+        examples: 0,
+        schedule: ScheduleStats::default(),
+    };
+    let mut bubble_secs = 0.0f64;
 
-/// Shared scheduler state behind one mutex; a single condvar covers both
-/// wake directions (worker→tuner "run complete", tuner→worker "staleness
-/// window advanced").
-struct SchedState {
-    /// Per-store FIFO of pending micro-batches, front = lowest run.
-    pending: Vec<VecDeque<MicroBatch>>,
-    /// Gathered features, indexed `[run][store][mb]`.
-    slots: Vec<Vec<Vec<Option<(Tensor, Vec<usize>)>>>>,
-    /// Outstanding (pending or in-flight) tasks per run.
-    remaining: Vec<usize>,
-    /// Runs the Tuner has finished training.
-    trained: usize,
-    steals: usize,
-    stale_steps: usize,
-}
+    std::thread::scope(|scope| {
+        for w in 0..n_workers {
+            let (lock, wake, extract) = (&lock, &wake, &extract);
+            scope.spawn(move || loop {
+                let mut st = lock();
+                let task = loop {
+                    if st.fatal.is_some() || st.sched.exhausted() {
+                        return;
+                    }
+                    if let Some((task, stolen)) =
+                        st.sched.next_for(|node| node % n_workers == w, |_| true)
+                    {
+                        if stolen {
+                            st.sched.record_steal(true);
+                        }
+                        break task;
+                    }
+                    st = wake.wait(st).unwrap_or_else(|e| e.into_inner());
+                };
+                drop(st);
+                let result = catch_unwind(AssertUnwindSafe(|| extract(&task)));
+                let mut st = lock();
+                match result {
+                    Ok((features, labels)) => st.sched.complete(task, features, labels),
+                    Err(_) => {
+                        st.fatal = Some(FtdmpError::ExtractionFailed {
+                            store: task.node,
+                            run: task.run,
+                        });
+                    }
+                }
+                drop(st);
+                wake.notify_all();
+            });
+        }
 
-impl SchedState {
-    /// Picks the next eligible micro-batch for a worker homed on
-    /// `home` stores (`store % n_workers == worker`): home queues
-    /// first, otherwise steal from the most-backlogged store. `None`
-    /// while nothing is eligible under the staleness bound (the worker
-    /// waits) — or forever once every queue drained (the worker exits).
-    fn claim(&mut self, worker: usize, n_workers: usize, staleness: usize) -> Claim {
-        let eligible = |q: &VecDeque<MicroBatch>| {
-            q.front()
-                .is_some_and(|t| t.run <= self.trained + staleness)
-        };
-        let mut any_pending = false;
-        // Home pass: stores this worker is responsible for.
-        let mut pick: Option<(usize, bool)> = None;
-        for (s, q) in self.pending.iter().enumerate() {
-            if q.is_empty() {
-                continue;
+        // Tuner side: train runs in order as their features land.
+        for g in 0..total_runs {
+            let t0 = Instant::now();
+            let mut st = lock();
+            while st.fatal.is_none() && !st.sched.run_ready(g) {
+                st = wake.wait(st).unwrap_or_else(|e| e.into_inner());
             }
-            any_pending = true;
-            if s % n_workers == worker && eligible(q) {
-                pick = Some((s, false));
+            if st.fatal.is_some() {
                 break;
             }
+            let gathered = st.sched.take_run(g);
+            drop(st);
+            bubble_secs += t0.elapsed().as_secs_f64();
+            // `validate` guarantees every run slice is non-empty.
+            let Some((features, labels)) = gathered else {
+                continue;
+            };
+            report.feature_bytes += features.len() * 4;
+            report.examples += labels.len();
+            let timer = record.then(|| phase_hist("train").start_timer());
+            let loss = tuner.train_on_features(&features, &labels, config.epochs_per_run, rng);
+            timer.map(|t| t.observe_and_disarm());
+            report.run_losses.push(loss);
+            lock().sched.mark_trained(g);
+            wake.notify_all();
         }
-        if pick.is_none() {
-            // Steal pass: deepest eligible backlog anywhere.
-            let mut best_len = 0;
-            for (s, q) in self.pending.iter().enumerate() {
-                if q.len() > best_len && eligible(q) {
-                    best_len = q.len();
-                    pick = Some((s, true));
-                }
-            }
-        }
-        match pick {
-            Some((s, stolen)) => {
-                let task = match self.pending[s].pop_front() {
-                    Some(t) => t,
-                    None => return Claim::Wait, // unreachable: guarded above
-                };
-                if stolen {
-                    self.steals += 1;
-                }
-                if task.run > self.trained {
-                    self.stale_steps += 1;
-                }
-                Claim::Task(task)
-            }
-            None if any_pending => Claim::Wait,
-            None => Claim::Done,
-        }
+    });
+    let st = lock();
+    report.schedule = ScheduleStats {
+        bubble_secs,
+        ..st.sched.stats()
+    };
+    match &st.fatal {
+        Some(e) => Err(e.clone()),
+        None => Ok(report),
     }
-}
-
-enum Claim {
-    Task(MicroBatch),
-    Wait,
-    Done,
 }
 
 /// Runs FT-DMP fine-tuning across `stores` with the 1F1B micro-batch
@@ -339,7 +426,7 @@ enum Claim {
 /// every PipeStore as a compressed delta.
 ///
 /// Worker threads claim `(store, run, micro-batch)` extraction tasks
-/// from per-store queues — stealing from a backlogged store when their
+/// from the [`Schedule`] — stealing from a backlogged store when their
 /// own queues drain — while the caller thread trains runs in order as
 /// their features complete, at most [`FtdmpConfig::staleness`] runs
 /// behind extraction. Results are bit-identical to
@@ -350,7 +437,8 @@ enum Claim {
 /// # Errors
 ///
 /// [`FtdmpError`] when `stores` is empty, `n_run` is zero, a shard is
-/// smaller than `n_run`, or a shard's label space exceeds the model's.
+/// smaller than `n_run`, a shard's label space or feature width does
+/// not fit the model, or an extraction worker panics.
 pub fn ftdmp_fine_tune<R: Rng + ?Sized>(
     tuner: &mut Tuner,
     stores: &mut [PipeStore],
@@ -369,135 +457,29 @@ pub fn ftdmp_fine_tune<R: Rng + ?Sized>(
     let version_before = tuner.version();
     timer.map(|t| t.observe_and_disarm());
 
-    // 2. Build the task table: every run slice of every store, split
-    // into contiguous micro-batches. Concatenating completed slots in
-    // (store, mb) order reproduces the reference row order exactly.
-    let n_run = config.n_run;
-    let mut pending: Vec<VecDeque<MicroBatch>> = Vec::with_capacity(stores.len());
-    let mut slots: Vec<Vec<Vec<Option<(Tensor, Vec<usize>)>>>> =
-        vec![Vec::with_capacity(stores.len()); n_run];
-    let mut remaining = vec![0usize; n_run];
-    let mut micro_batches = 0usize;
-    for (si, s) in stores.iter().enumerate() {
-        let n = s.shard_len();
-        let mut q = VecDeque::new();
-        for (run, rem) in remaining.iter_mut().enumerate() {
-            let lo = run * n / n_run;
-            let hi = (run + 1) * n / n_run;
-            let n_mb = config.micro_batches_for(hi - lo);
-            for mb in 0..n_mb {
-                let mlo = lo + mb * (hi - lo) / n_mb;
-                let mhi = lo + (mb + 1) * (hi - lo) / n_mb;
-                q.push_back(MicroBatch {
-                    store: si,
-                    run,
-                    mb,
-                    lo: mlo,
-                    hi: mhi,
-                });
-            }
-            slots[run].push(vec![None; n_mb]);
-            *rem += n_mb;
-            micro_batches += n_mb;
-        }
-        pending.push(q);
-    }
-
+    // 2. Extract ∥ train under the schedule; store `i` is node `i`.
+    let shard_lens = stores
+        .iter()
+        .map(PipeStore::shard_len)
+        .enumerate()
+        .collect();
     let n_workers = ndpipe_data::deflate::configured_threads()
         .max(1)
         .min(stores.len());
-    let state = Mutex::new(SchedState {
-        pending,
-        slots,
-        remaining,
-        trained: 0,
-        steals: 0,
-        stale_steps: 0,
-    });
-    let wake = Condvar::new();
     let engine_cfg = EngineConfig::default();
-    let staleness = config.staleness;
     let stores_shared: &[PipeStore] = stores;
-
-    let mut run_losses = Vec::with_capacity(n_run);
-    let mut feature_bytes = 0usize;
-    let mut examples = 0usize;
-    let mut bubble_secs = 0.0f64;
-
-    std::thread::scope(|scope| {
-        for w in 0..n_workers {
-            let state = &state;
-            let wake = &wake;
-            let engine_cfg = &engine_cfg;
-            scope.spawn(move || loop {
-                let task = {
-                    let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                    loop {
-                        match st.claim(w, n_workers, staleness) {
-                            Claim::Task(t) => break t,
-                            Claim::Done => return,
-                            Claim::Wait => {
-                                st = wake
-                                    .wait(st)
-                                    .unwrap_or_else(|e| e.into_inner());
-                            }
-                        }
-                    }
-                };
-                let out = stores_shared[task.store]
-                    .extract_features_batched(task.lo..task.hi, engine_cfg)
-                    .0;
-                let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                st.slots[task.run][task.store][task.mb] = Some(out);
-                st.remaining[task.run] -= 1;
-                drop(st);
-                wake.notify_all();
-            });
-        }
-
-        // Tuner side: train runs in order as their features land.
-        for run in 0..n_run {
-            let t0 = Instant::now();
-            let run_slots = {
-                let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                while st.remaining[run] > 0 {
-                    st = wake.wait(st).unwrap_or_else(|e| e.into_inner());
-                }
-                std::mem::take(&mut st.slots[run])
-            };
-            bubble_secs += t0.elapsed().as_secs_f64();
-
-            let mut rows = Vec::new();
-            let mut labels = Vec::new();
-            for per_store in &run_slots {
-                for slot in per_store {
-                    if let Some((f, l)) = slot {
-                        feature_bytes += f.len() * 4;
-                        for i in 0..l.len() {
-                            rows.push(f.row(i));
-                        }
-                        labels.extend_from_slice(l);
-                    }
-                }
-            }
-            examples += labels.len();
-            let features = Tensor::stack_rows(&rows);
-            let timer = record.then(|| phase_hist("train").start_timer());
-            let loss = tuner.train_on_features(&features, &labels, config.epochs_per_run, rng);
-            timer.map(|t| t.observe_and_disarm());
-            run_losses.push(loss);
-
-            let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-            st.trained = run + 1;
-            drop(st);
-            wake.notify_all();
-        }
-    });
-
-    let (steals, stale_steps) = {
-        let st = state.lock().unwrap_or_else(|e| e.into_inner());
-        (st.steals, st.stale_steps)
-    };
+    let mut report = drive(
+        tuner,
+        Schedule::new(&shard_lens, config, 1),
+        config,
+        n_workers,
+        rng,
+        |task| {
+            let s = &stores_shared[task.node];
+            let rows = slice_bounds(s.shard_len(), task.run, config.n_run, task.mb, task.n_mb);
+            s.extract_features_batched(rows, &engine_cfg).0
+        },
+    )?;
 
     // 3. Redistribute the fine-tuned model as Check-N-Run deltas,
     // stamped with the Tuner's version span so replicas can audit
@@ -506,32 +488,17 @@ pub fn ftdmp_fine_tune<R: Rng + ?Sized>(
     let delta = tuner
         .delta_from(&model_before)
         .with_versions(version_before, tuner.version());
-    let mut distribution_bytes = 0usize;
     for s in stores.iter_mut() {
         if let Some(replica) = s.model_mut() {
             if delta.apply(replica).is_ok() {
-                distribution_bytes += delta.wire_bytes();
+                report.distribution_bytes += delta.wire_bytes();
             }
         }
     }
+    report.distribution_reduction = delta.traffic_reduction();
     timer.map(|t| t.observe_and_disarm());
-
-    let schedule = ScheduleStats {
-        micro_batches,
-        steals,
-        stale_steps,
-        bubble_secs,
-    };
-    record_job_counters(feature_bytes, &schedule);
-
-    Ok(FtdmpReport {
-        run_losses,
-        feature_bytes,
-        distribution_bytes,
-        distribution_reduction: delta.traffic_reduction(),
-        examples,
-        schedule,
-    })
+    record_job(Origin::Local, 1, report.feature_bytes, &report.schedule);
+    Ok(report)
 }
 
 /// The historical run-at-a-time FT-DMP schedule, kept verbatim as the
@@ -619,7 +586,7 @@ pub fn ftdmp_fine_tune_reference<R: Rng + ?Sized>(
         }
     }
     timer.map(|t| t.observe_and_disarm());
-    record_job_counters(feature_bytes, &ScheduleStats::default());
+    record_job(Origin::Local, 1, feature_bytes, &ScheduleStats::default());
 
     Ok(FtdmpReport {
         run_losses,
@@ -868,6 +835,45 @@ mod tests {
                 assert_eq!(report.schedule.stale_steps, 0, "S=0 must never run ahead");
             }
         }
+    }
+
+    /// Whatever makes an extraction panic, the driver must stop every
+    /// thread and report the task; it used to leave the Tuner thread
+    /// waiting on the condvar forever (the width-mismatch trigger is in
+    /// `tests/ftdmp_semantics.rs`).
+    #[test]
+    fn panicking_extraction_fails_the_job_instead_of_hanging() {
+        let mut rng = StdRng::seed_from_u64(81);
+        let (mut tuner, stores, _) = world(&mut rng, 2, 20);
+        let cfg = FtdmpConfig {
+            n_run: 2,
+            epochs_per_run: 1,
+            train: *tuner.config(),
+            ..FtdmpConfig::default()
+        };
+        let lens = stores
+            .iter()
+            .map(PipeStore::shard_len)
+            .enumerate()
+            .collect();
+        let sched = Schedule::new(&lens, &cfg, 1);
+        // On its own thread under a watchdog: a relapse must fail the
+        // test, not wedge the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let report = drive(&mut tuner, sched, &cfg, 2, &mut rng, |task| {
+                assert!(task.node != 1 || task.run != 1, "injected extraction fault");
+                (Tensor::zeros(&[1, 24]), vec![0])
+            });
+            tx.send(report.map(|r| r.examples))
+        });
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("watchdog: the FT-DMP job did not return");
+        assert_eq!(
+            result,
+            Err(FtdmpError::ExtractionFailed { store: 1, run: 1 })
+        );
     }
 
     #[test]

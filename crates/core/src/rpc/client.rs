@@ -399,7 +399,7 @@ impl RemotePipeStore {
     }
 
     /// Asks the store to extract features for pipeline run `run` of
-    /// `n_run`, returning `(features, labels)`.
+    /// `n_run` over its own shard, returning `(features, labels)`.
     ///
     /// # Errors
     ///
@@ -409,12 +409,7 @@ impl RemotePipeStore {
         run: u32,
         n_run: u32,
     ) -> Result<(Tensor, Vec<usize>), RpcError> {
-        match self.call(&Request::ExtractFeatures { run, n_run })? {
-            Reply::Features { features, labels } => {
-                Ok((features, labels.into_iter().map(|l| l as usize).collect()))
-            }
-            _ => Err(RpcError::Protocol("expected features")),
-        }
+        self.extract_slice(self.store_id, run, n_run, 0, 1)
     }
 
     /// Runs near-data offline inference; only `(photo, label)` pairs come
@@ -531,31 +526,11 @@ impl RemotePipeStore {
         }
     }
 
-    /// Extracts features for run `run` of `n_run` over the replica
-    /// shard of placement node `node` — the mid-sweep reroute call.
-    ///
-    /// # Errors
-    ///
-    /// Socket/protocol/remote errors (no replica shard for `node` is a
-    /// remote error).
-    pub fn extract_features_for(
-        &mut self,
-        node: u64,
-        run: u32,
-        n_run: u32,
-    ) -> Result<(Tensor, Vec<usize>), RpcError> {
-        match self.call(&Request::ExtractFeaturesFor { node, run, n_run })? {
-            Reply::Features { features, labels } => {
-                Ok((features, labels.into_iter().map(|l| l as usize).collect()))
-            }
-            _ => Err(RpcError::Protocol("expected features")),
-        }
-    }
-
     /// Extracts micro-batch `mb` of `n_mb` within run `run` of `n_run`
     /// over node `node`'s shard (the store's own or a held replica) —
-    /// the streaming extract of the pipelined FT-DMP schedule, doubling
-    /// as the straggler-steal call when `node` is not the store's id.
+    /// the streaming extract of the FT-DMP schedule, doubling as the
+    /// straggler-steal and dead-owner reroute call when `node` is not the
+    /// store's id.
     ///
     /// # Errors
     ///

@@ -11,7 +11,8 @@
 //! [`PeerFailure`], never as a Tuner-side panic.
 
 use crate::checknrun::ModelDelta;
-use crate::ftdmp::{FtdmpConfig, FtdmpError, FtdmpReport, ScheduleStats};
+use crate::ftdmp::schedule::{Schedule, SliceTask};
+use crate::ftdmp::{record_job, FtdmpConfig, FtdmpError, FtdmpReport, Origin, ScheduleStats};
 use crate::placement::PlacementMap;
 use crate::rpc::client::{ConnectOptions, RemotePipeStore};
 use crate::rpc::wire::{PhotoRecord, ShardDesc};
@@ -27,10 +28,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tensor::Tensor;
 
-/// Per-peer job queue depth. Rounds are sequential — `fanout_on` gathers
-/// every reply before the next round starts — so at most one `Job::Op`
-/// plus one `Job::Stop` is ever in flight per peer; the bound exists to
-/// keep the queue from masking a stuck round as silent memory growth.
+/// Per-peer job queue depth. A fan-out puts one `Job::Op` on each peer
+/// and gathers every reply before returning; an FT-DMP job keeps at most
+/// two extractions and one delta in flight per peer; `Job::Stop` is the
+/// fourth. The bound exists to keep the queue from masking a stuck round
+/// as silent memory growth.
 const PEER_JOB_QUEUE_CAP: usize = 4;
 
 /// What the control plane does when peers fail an operation.
@@ -77,6 +79,18 @@ pub struct PeerFailure {
     pub attempts: u32,
     /// The final error.
     pub error: RpcError,
+}
+
+impl PeerFailure {
+    fn new(index: usize, peer: String, op: &'static str, attempts: u32, error: RpcError) -> Self {
+        PeerFailure {
+            index,
+            peer,
+            op,
+            attempts,
+            error,
+        }
+    }
 }
 
 impl std::fmt::Display for PeerFailure {
@@ -270,9 +284,14 @@ pub struct RebalanceReport {
 #[derive(Clone)]
 enum PeerOp {
     InstallModel(Arc<[u8]>),
-    ExtractFeatures { run: u32, n_run: u32 },
-    ExtractFeaturesFor { node: u64, run: u32, n_run: u32 },
-    ExtractSlice { node: u64, run: u32, n_run: u32, mb: u32, n_mb: u32 },
+    /// `node: None` is the peer's own shard (its handshake store id).
+    ExtractSlice {
+        node: Option<u64>,
+        run: u32,
+        n_run: u32,
+        mb: u32,
+        n_mb: u32,
+    },
     DescribeNode(u64),
     OfflineInfer,
     ApplyDelta(Arc<[u8]>),
@@ -291,8 +310,6 @@ impl PeerOp {
     fn name(&self) -> &'static str {
         match self {
             PeerOp::InstallModel(_) => "install_model",
-            PeerOp::ExtractFeatures { .. } => "extract_features",
-            PeerOp::ExtractFeaturesFor { .. } => "extract_features_for",
             PeerOp::ExtractSlice { .. } => "extract_slice",
             PeerOp::DescribeNode(_) => "describe_node",
             PeerOp::OfflineInfer => "offline_infer",
@@ -403,9 +420,6 @@ fn run_op(
 fn apply(remote: &mut RemotePipeStore, op: &PeerOp) -> Result<PeerOk, RpcError> {
     match op {
         PeerOp::InstallModel(blob) => remote.install_model_bytes(blob).map(|()| PeerOk::Ack),
-        PeerOp::ExtractFeatures { run, n_run } => remote
-            .extract_features(*run, *n_run)
-            .map(|(features, labels)| PeerOk::Features { features, labels }),
         PeerOp::OfflineInfer => remote.offline_infer().map(PeerOk::Labels),
         PeerOp::ApplyDelta(blob) => remote.apply_delta_bytes(blob).map(|()| PeerOk::Ack),
         PeerOp::Describe => remote.describe().map(PeerOk::Shard),
@@ -415,9 +429,6 @@ fn apply(remote: &mut RemotePipeStore, op: &PeerOp) -> Result<PeerOk, RpcError> 
         PeerOp::PutPhoto(rec) => remote.put_photo(rec).map(|()| PeerOk::Ack),
         PeerOp::GetPhoto(id) => remote.get_photo(*id).map(PeerOk::Photo),
         PeerOp::ListPhotos => remote.list_photos().map(PeerOk::PhotoIds),
-        PeerOp::ExtractFeaturesFor { node, run, n_run } => remote
-            .extract_features_for(*node, *run, *n_run)
-            .map(|(features, labels)| PeerOk::Features { features, labels }),
         PeerOp::ExtractSlice {
             node,
             run,
@@ -425,7 +436,7 @@ fn apply(remote: &mut RemotePipeStore, op: &PeerOp) -> Result<PeerOk, RpcError> 
             mb,
             n_mb,
         } => remote
-            .extract_slice(*node, *run, *n_run, *mb, *n_mb)
+            .extract_slice(node.unwrap_or(remote.store_id()), *run, *n_run, *mb, *n_mb)
             .map(|(features, labels)| PeerOk::Features { features, labels }),
         PeerOp::DescribeNode(node) => remote.describe_node(*node).map(PeerOk::Shard),
         PeerOp::EndSession => remote.end_session().map(|()| PeerOk::Ack),
@@ -444,28 +455,6 @@ fn count_reroutes(n: u64) {
             )
             .add(n);
     }
-}
-
-/// Puts a failed micro-batch back on its node's queue, keeping the
-/// queue sorted by (run, micro-batch) so the front stays the most
-/// urgent work.
-fn requeue<T>(queues: &mut BTreeMap<usize, VecDeque<T>>, task: T)
-where
-    T: Copy,
-    T: SliceKey,
-{
-    let q = queues.entry(task.node()).or_default();
-    let pos = q
-        .iter()
-        .position(|t| t.key() > task.key())
-        .unwrap_or(q.len());
-    q.insert(pos, task);
-}
-
-/// Ordering key for requeued micro-batch tasks.
-trait SliceKey {
-    fn node(&self) -> usize;
-    fn key(&self) -> (usize, usize);
 }
 
 fn worker_main(
@@ -730,30 +719,15 @@ impl Cluster {
         let (tx, rx) = mpsc::sync_channel(indices.len().max(1));
         let mut failures = Vec::new();
         for &index in indices {
+            let job = Job::Op {
+                op: op.clone(),
+                attempts: self.op_attempts,
+                done: tx.clone(),
+            };
             match self.peers.get(index) {
-                Some(slot) => {
-                    let job = Job::Op {
-                        op: op.clone(),
-                        attempts: self.op_attempts,
-                        done: tx.clone(),
-                    };
-                    if slot.tx.send(job).is_err() {
-                        failures.push(PeerFailure {
-                            index,
-                            peer: slot.addr.to_string(),
-                            op: op_name,
-                            attempts: 0,
-                            error: RpcError::Protocol("peer worker is gone"),
-                        });
-                    }
-                }
-                None => failures.push(PeerFailure {
-                    index,
-                    peer: "<out of range>".to_string(),
-                    op: op_name,
-                    attempts: 0,
-                    error: RpcError::Protocol("peer index out of range"),
-                }),
+                Some(slot) if slot.tx.send(job).is_ok() => {}
+                Some(_) => failures.push(self.unreached(index, op_name, "peer worker is gone")),
+                None => failures.push(self.unreached(index, op_name, "peer index out of range")),
             }
         }
         drop(tx);
@@ -861,14 +835,17 @@ impl Cluster {
     /// Extracts features for pipeline run `run` of `n_run` on every peer
     /// concurrently — the fan-out that carries the paper's scaling claim.
     pub fn extract_features(&self, run: u32, n_run: u32) -> Fanout<(Tensor, Vec<usize>)> {
-        Self::typed(
-            self.fanout_all(PeerOp::ExtractFeatures { run, n_run }),
-            "extract_features",
-            |ok| match ok {
-                PeerOk::Features { features, labels } => Some((features, labels)),
-                _ => None,
-            },
-        )
+        let op = PeerOp::ExtractSlice {
+            node: None,
+            run,
+            n_run,
+            mb: 0,
+            n_mb: 1,
+        };
+        Self::typed(self.fanout_all(op), "extract_slice", |ok| match ok {
+            PeerOk::Features { features, labels } => Some((features, labels)),
+            _ => None,
+        })
     }
 
     /// Runs near-data offline inference on every peer.
@@ -1136,304 +1113,30 @@ impl Cluster {
         Ok(report)
     }
 
-    /// Runs one FT-DMP fine-tuning round across the cluster: describe &
-    /// validate, distribute the master model, extract features per
-    /// pipeline run **in parallel across peers**, train the classifier
-    /// tail locally, and redistribute the result as a Check-N-Run delta.
+    /// Runs `rounds` back-to-back FT-DMP fine-tuning rounds across the
+    /// cluster: the socket transport under
+    /// [`Schedule`](crate::ftdmp::schedule::Schedule), which makes
+    /// every scheduling decision (staleness gate `g ≤ trained + S`, own
+    /// shard first then steal the deepest backlog a peer holds a replica
+    /// of, requeue on failure, orphaning, `(node, micro-batch)` gather
+    /// order). This driver describes and validates the fleet,
+    /// distributes the master model, keeps up to two
+    /// [`PeerOp::ExtractSlice`] jobs in flight per live peer, feeds
+    /// replies back, trains each run as it completes and ships each
+    /// round's Check-N-Run delta — overlapped with the next round's
+    /// extraction when `S ≥ 1` (safe because features depend only on the
+    /// *frozen* prefix, which deltas never touch), acknowledged at the
+    /// round boundary when `S = 0`.
     ///
-    /// Peers that fail a phase are excluded from the rest of the round;
-    /// the [`FailurePolicy`] decides after each phase whether the
-    /// survivors suffice. `feature_bytes`/`distribution_bytes` in the
+    /// `staleness: 0` is the run-at-a-time barrier schedule, bit-identical
+    /// to [`crate::ftdmp::ftdmp_fine_tune_reference`]; add `micro_batch:
+    /// usize::MAX` for one extraction per peer per run. Peers that fail
+    /// are excluded from the rest of the job and the [`FailurePolicy`]
+    /// decides whether the survivors suffice; with a placement map a
+    /// dead peer's shard is still trained on through a surviving replica
+    /// (counted in `reroutes`), and a steal from a *live* owner counts
+    /// in `schedule.steals`. `feature_bytes`/`distribution_bytes` in the
     /// report are actual wire bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::Config`] for a zero-run config,
-    /// [`ClusterError::Rejected`] when the policy gives up on the round.
-    pub fn ftdmp_fine_tune<R: Rng + ?Sized>(
-        &self,
-        tuner: &mut Tuner,
-        config: &FtdmpConfig,
-        rng: &mut R,
-    ) -> Result<ClusterFtdmpReport, ClusterError> {
-        self.ftdmp_fine_tune_with(tuner, config, rng, None)
-    }
-
-    /// Like [`Cluster::ftdmp_fine_tune`], but placement-aware: when a
-    /// peer dies mid-sweep, its shard assignment is rerouted to a
-    /// surviving replica (per [`PlacementMap::shard_holders`]) for the
-    /// remaining runs, so the sweep still trains on every shard a dead
-    /// peer was supposed to serve. Reroutes are counted in the report
-    /// and in `ndpipe_shard_reroutes_total`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Cluster::ftdmp_fine_tune`].
-    pub fn ftdmp_fine_tune_with<R: Rng + ?Sized>(
-        &self,
-        tuner: &mut Tuner,
-        config: &FtdmpConfig,
-        rng: &mut R,
-        placement: Option<&PlacementMap>,
-    ) -> Result<ClusterFtdmpReport, ClusterError> {
-        if self.peers.is_empty() {
-            return Err(ClusterError::NoPeers);
-        }
-        if config.n_run == 0 {
-            return Err(ClusterError::Config("need at least one run"));
-        }
-        let phase_hist = |phase: &str| {
-            telemetry::global().histogram_with(
-                "ndpipe_ftdmp_remote_phase_seconds",
-                &[("phase", phase)],
-                "wall time of one remote FT-DMP phase",
-            )
-        };
-        let record = telemetry::enabled();
-        let mut failures: Vec<PeerFailure> = Vec::new();
-        let mut live: Vec<usize> = (0..self.peers.len()).collect();
-
-        // 0. Sanity-check label spaces before shipping anything; an
-        // incompatible shard is a peer failure, not a panic. Shards
-        // that fail *validation* (as opposed to transport) are recorded
-        // so the reroute path below never trains on them either.
-        let mut unfit: Vec<usize> = Vec::new();
-        let fan = self.fanout_on(&live, PeerOp::Describe);
-        failures.extend(fan.failures);
-        live.clear();
-        for r in fan.ok {
-            let (examples, classes) = match r.value {
-                PeerOk::Shard(desc) => (desc.examples, desc.classes),
-                _ => (0, u32::MAX),
-            };
-            if examples < config.n_run as u64 {
-                unfit.push(r.index);
-                failures.push(PeerFailure {
-                    index: r.index,
-                    peer: r.peer.to_string(),
-                    op: "describe",
-                    attempts: r.attempts,
-                    error: RpcError::Remote {
-                        peer: r.peer.to_string(),
-                        op: "describe",
-                        msg: "shard smaller than N_run".to_string(),
-                    },
-                });
-            } else if classes as usize > tuner.model().num_classes() {
-                unfit.push(r.index);
-                failures.push(PeerFailure {
-                    index: r.index,
-                    peer: r.peer.to_string(),
-                    op: "describe",
-                    attempts: r.attempts,
-                    error: RpcError::Remote {
-                        peer: r.peer.to_string(),
-                        op: "describe",
-                        msg: "shard has wider label space than the model".to_string(),
-                    },
-                });
-            } else {
-                live.push(r.index);
-            }
-        }
-        self.admit(&live, failures.len())
-            .map_err(|()| self.reject(live.len(), std::mem::take(&mut failures)))?;
-
-        // 1. Distribute the current master model (serialized once).
-        let timer = record.then(|| phase_hist("distribute").start_timer());
-        let model_before = tuner.model().clone();
-        let blob: Arc<[u8]> = model_before.to_bytes().into();
-        let fan = self.fanout_on(&live, PeerOp::InstallModel(blob));
-        live = fan.ok.iter().map(|r| r.index).collect();
-        failures.extend(fan.failures);
-        if let Some(t) = timer {
-            t.observe_and_disarm();
-        }
-        self.admit(&live, failures.len())
-            .map_err(|()| self.reject(live.len(), std::mem::take(&mut failures)))?;
-
-        // 2. Pipeline runs: gather features in parallel, tune locally.
-        // Shard assignments are fixed at sweep start and, when a
-        // placement map is supplied, come from the *map*, not from the
-        // live set: a peer that is dead (at start or mid-sweep) stops
-        // being a transport, but its shard still has to be trained on —
-        // a surviving replica serves it instead.
-        let assignments: Vec<usize> = match placement {
-            Some(map) => map
-                .nodes()
-                .iter()
-                .map(|n| n.id as usize)
-                .filter(|i| !unfit.contains(i))
-                .collect(),
-            None => live.clone(),
-        };
-        let mut reroutes = 0u64;
-        let mut run_losses = Vec::with_capacity(config.n_run);
-        let mut feature_bytes = 0usize;
-        let mut examples = 0usize;
-        for run in 0..config.n_run {
-            let timer = record.then(|| phase_hist("extract").start_timer());
-            let fan = self.fanout_on(
-                &live,
-                PeerOp::ExtractFeatures {
-                    run: run as u32,
-                    n_run: config.n_run as u32,
-                },
-            );
-            if let Some(t) = timer {
-                t.observe_and_disarm();
-            }
-            failures.extend(fan.failures);
-            live.clear();
-            // Rows are keyed by *assignment* node, so the splice below
-            // is deterministic regardless of who actually served them.
-            let mut per_node: BTreeMap<usize, (Tensor, Vec<usize>)> = BTreeMap::new();
-            for r in fan.ok {
-                if let PeerOk::Features {
-                    features,
-                    labels: l,
-                } = r.value
-                {
-                    feature_bytes += r.recv_bytes as usize;
-                    per_node.insert(r.index, (features, l));
-                    live.push(r.index);
-                }
-            }
-            if let Some(map) = placement {
-                for &a in &assignments {
-                    if per_node.contains_key(&a) {
-                        continue;
-                    }
-                    let mut served = false;
-                    for holder in map.shard_holders(a as u64) {
-                        let h = holder as usize;
-                        if h == a || !live.contains(&h) {
-                            continue;
-                        }
-                        let fan = self.fanout_on(
-                            &[h],
-                            PeerOp::ExtractFeaturesFor {
-                                node: a as u64,
-                                run: run as u32,
-                                n_run: config.n_run as u32,
-                            },
-                        );
-                        failures.extend(fan.failures);
-                        for r in fan.ok {
-                            if let PeerOk::Features {
-                                features,
-                                labels: l,
-                            } = r.value
-                            {
-                                feature_bytes += r.recv_bytes as usize;
-                                per_node.insert(a, (features, l));
-                                served = true;
-                            }
-                        }
-                        if served {
-                            reroutes += 1;
-                            count_reroutes(1);
-                            break;
-                        }
-                    }
-                    if !served {
-                        let peer = match self.peers.get(a) {
-                            Some(slot) => slot.addr.to_string(),
-                            None => "<out of range>".to_string(),
-                        };
-                        failures.push(PeerFailure {
-                            index: a,
-                            peer,
-                            op: "extract_features_for",
-                            attempts: 0,
-                            error: RpcError::Protocol("no surviving replica for shard"),
-                        });
-                    }
-                }
-            }
-            self.admit(&live, failures.len())
-                .map_err(|()| self.reject(live.len(), std::mem::take(&mut failures)))?;
-            let mut rows = Vec::new();
-            let mut labels = Vec::new();
-            for (features, l) in per_node.into_values() {
-                for i in 0..l.len() {
-                    rows.push(features.row(i));
-                }
-                labels.extend(l);
-            }
-            examples += labels.len();
-            let features = Tensor::stack_rows(&rows);
-            let timer = record.then(|| phase_hist("train").start_timer());
-            let loss = tuner.train_on_features(&features, &labels, config.epochs_per_run, rng);
-            if let Some(t) = timer {
-                t.observe_and_disarm();
-            }
-            run_losses.push(loss);
-        }
-
-        // 3. Redistribute as deltas (serialized once, fanned out).
-        let timer = record.then(|| phase_hist("redistribute").start_timer());
-        let delta = tuner.delta_from(&model_before);
-        let blob: Arc<[u8]> = delta.to_bytes().into();
-        let fan = self.fanout_on(&live, PeerOp::ApplyDelta(blob));
-        let distribution_bytes: usize = fan.ok.iter().map(|r| r.sent_bytes as usize).sum();
-        live = fan.ok.iter().map(|r| r.index).collect();
-        failures.extend(fan.failures);
-        if let Some(t) = timer {
-            t.observe_and_disarm();
-        }
-        self.admit(&live, failures.len())
-            .map_err(|()| self.reject(live.len(), std::mem::take(&mut failures)))?;
-        if record {
-            telemetry::global()
-                .counter(
-                    "ndpipe_ftdmp_remote_rounds_total",
-                    "completed remote FT-DMP fine-tuning rounds",
-                )
-                .inc();
-        }
-
-        Ok(ClusterFtdmpReport {
-            report: FtdmpReport {
-                run_losses,
-                feature_bytes,
-                distribution_bytes,
-                distribution_reduction: delta.traffic_reduction(),
-                examples,
-                schedule: ScheduleStats::default(),
-            },
-            failures,
-            peers_used: live,
-            reroutes,
-        })
-    }
-
-
-    /// The pipelined FT-DMP schedule: `rounds` back-to-back fine-tuning
-    /// rounds where extraction streams Store→Tuner as micro-batches
-    /// ([`PeerOp::ExtractSlice`]) under a bounded-staleness window,
-    /// idle peers steal a straggler's remaining micro-batches through
-    /// the placement map, and each round's Check-N-Run delta
-    /// distribution overlaps the next round's extraction (safe because
-    /// features depend only on the *frozen* prefix, which deltas never
-    /// touch).
-    ///
-    /// Scheduling rules:
-    ///
-    /// - Global run `g` (`round * n_run + r`) may be *extracted* only
-    ///   while `g ≤ trained + S` where `S` is
-    ///   [`FtdmpConfig::staleness`]. `S = 0` reproduces the
-    ///   run-at-a-time schedule of [`Cluster::ftdmp_fine_tune_with`]
-    ///   bit-for-bit (and waits for delta acks at round boundaries);
-    ///   `S ≥ 1` lets extraction and delta distribution run ahead.
-    /// - Every peer serves its own shard first; once its queue drains
-    ///   it steals the deepest backlog among nodes whose shard it holds
-    ///   (its own id, or a replica per
-    ///   [`PlacementMap::shard_holders`]). A steal from a *live* owner
-    ///   counts in `schedule.steals`; standing in for a dead owner
-    ///   counts in `reroutes`.
-    /// - Features gather per run keyed by `(node, micro-batch)`, so
-    ///   training order is deterministic no matter who served what.
     ///
     /// # Errors
     ///
@@ -1460,7 +1163,17 @@ impl Cluster {
         if rounds == 0 {
             return Err(ClusterError::Config("need at least one round"));
         }
-        let record = telemetry::enabled();
+        let phase_timer = |phase: &str| {
+            telemetry::enabled().then(|| {
+                telemetry::global()
+                    .histogram_with(
+                        "ndpipe_ftdmp_remote_phase_seconds",
+                        &[("phase", phase)],
+                        "wall time of one remote FT-DMP phase",
+                    )
+                    .start_timer()
+            })
+        };
         let mut failures: Vec<PeerFailure> = Vec::new();
         let mut live: Vec<usize> = (0..self.peers.len()).collect();
 
@@ -1499,35 +1212,46 @@ impl Cluster {
                 }
                 Err(e) => {
                     unfit.push(r.index);
-                    failures.push(PeerFailure {
-                        index: r.index,
+                    let error = RpcError::Remote {
                         peer: r.peer.to_string(),
                         op: "describe",
-                        attempts: r.attempts,
-                        error: RpcError::Remote {
-                            peer: r.peer.to_string(),
-                            op: "describe",
-                            msg: e.to_string(),
-                        },
-                    });
+                        msg: e.to_string(),
+                    };
+                    failures.push(PeerFailure::new(
+                        r.index,
+                        r.peer.to_string(),
+                        "describe",
+                        r.attempts,
+                        error,
+                    ));
                 }
             }
         }
-        self.admit(&live, failures.len())
-            .map_err(|()| self.reject(live.len(), std::mem::take(&mut failures)))?;
+        self.admit(&live, &mut failures)?;
 
         // 1. Distribute the current master model (serialized once).
+        let timer = phase_timer("distribute");
         let model_before = tuner.model().clone();
         let blob: Arc<[u8]> = model_before.to_bytes().into();
         let fan = self.fanout_on(&live, PeerOp::InstallModel(blob));
         live = fan.ok.iter().map(|r| r.index).collect();
         failures.extend(fan.failures);
-        self.admit(&live, failures.len())
-            .map_err(|()| self.reject(live.len(), std::mem::take(&mut failures)))?;
+        drop(timer);
+        self.admit(&live, &mut failures)?;
 
         // Shard assignments come from the placement map when supplied
         // (a dead node's shard is still trained on, via a replica);
-        // otherwise every live peer serves exactly its own shard.
+        // otherwise every live peer serves exactly its own shard. Shards
+        // the Describe fan-out could not reach (nodes dead at connect)
+        // are sized through a surviving holder's replica.
+        let can_serve = |peer: usize, node: usize| -> bool {
+            peer == node
+                || placement.is_some_and(|m| {
+                    m.shard_holders(node as u64)
+                        .iter()
+                        .any(|&h| h as usize == peer)
+                })
+        };
         let assignments: Vec<usize> = match placement {
             Some(map) => map
                 .nodes()
@@ -1537,81 +1261,29 @@ impl Cluster {
                 .collect(),
             None => live.clone(),
         };
-        // Size shards the Describe fan-out could not reach (nodes dead
-        // at connect) through a surviving holder's replica.
-        for &a in &assignments {
-            if shard_len.contains_key(&a) {
-                continue;
-            }
-            let Some(map) = placement else { continue };
-            for holder in map.shard_holders(a as u64) {
-                let h = holder as usize;
-                if h == a || !live.contains(&h) {
-                    continue;
-                }
-                let fan = self.fanout_on(&[h], PeerOp::DescribeNode(a as u64));
-                let mut found = false;
-                for r in fan.ok {
-                    if let PeerOk::Shard(desc) = r.value {
-                        if desc.examples as usize >= config.n_run {
-                            shard_len.insert(a, desc.examples as usize);
-                            found = true;
+        let mut lens: BTreeMap<usize, usize> = BTreeMap::new();
+        for a in assignments {
+            let known = shard_len.get(&a).copied().or_else(|| {
+                let holders = live.iter().filter(|&&h| h != a && can_serve(h, a));
+                holders
+                    .flat_map(|&h| self.fanout_on(&[h], PeerOp::DescribeNode(a as u64)).ok)
+                    .find_map(|r| match r.value {
+                        PeerOk::Shard(desc) if desc.examples as usize >= config.n_run => {
+                            Some(desc.examples as usize)
                         }
-                    }
-                }
-                if found {
-                    break;
-                }
+                        _ => None,
+                    })
+            });
+            if let Some(n) = known {
+                lens.insert(a, n);
             }
         }
-        let assignments: Vec<usize> = assignments
-            .into_iter()
-            .filter(|a| shard_len.contains_key(a))
-            .collect();
-        if assignments.is_empty() {
+        if lens.is_empty() {
             return Err(ClusterError::Ftdmp(FtdmpError::NoStores));
         }
 
-        // 2. Build the global task table: `rounds * n_run` runs, every
-        // run slice of every assigned node split into contiguous
-        // micro-batches.
-        #[derive(Clone, Copy)]
-        struct SliceTask {
-            node: usize,
-            g: usize,
-            mb: usize,
-            n_mb: usize,
-        }
-        impl SliceKey for SliceTask {
-            fn node(&self) -> usize {
-                self.node
-            }
-            fn key(&self) -> (usize, usize) {
-                (self.g, self.mb)
-            }
-        }
-        let n_run = config.n_run;
-        let total_runs = rounds * n_run;
-        let mut queues: BTreeMap<usize, VecDeque<SliceTask>> = BTreeMap::new();
-        let mut remaining = vec![0usize; total_runs];
-        let mut micro_batches = 0usize;
-        for &a in &assignments {
-            let Some(&n) = shard_len.get(&a) else { continue };
-            let mut q = VecDeque::new();
-            for (g, rem) in remaining.iter_mut().enumerate() {
-                let r = g % n_run;
-                let lo = r * n / n_run;
-                let hi = (r + 1) * n / n_run;
-                let n_mb = config.micro_batches_for(hi - lo);
-                for mb in 0..n_mb {
-                    q.push_back(SliceTask { node: a, g, mb, n_mb });
-                }
-                *rem += n_mb;
-                micro_batches += n_mb;
-            }
-            queues.insert(a, q);
-        }
-
+        // 2. Extract ∥ train under the schedule.
+        let mut sched = Schedule::new(&lens, config, rounds);
         // One shared reply lane for every streaming extract; capacity
         // covers the dispatch window, so workers never block on it.
         let lane_cap = self.peers.len().max(1) * MAX_INFLIGHT;
@@ -1620,113 +1292,68 @@ impl Cluster {
         // Per-peer FIFO of dispatched tasks: each peer worker answers
         // its job queue in order, so the front entry always matches the
         // next reply from that peer.
-        let mut in_flight: Vec<VecDeque<SliceTask>> =
-            (0..self.peers.len()).map(|_| VecDeque::new()).collect();
-        let mut pending_acks: Vec<(mpsc::Receiver<WorkerReply>, f64)> = Vec::new();
+        let mut in_flight: Vec<VecDeque<SliceTask>> = vec![VecDeque::new(); self.peers.len()];
+        let mut pending_acks: Vec<mpsc::Receiver<WorkerReply>> = Vec::new();
 
-        let can_serve = |peer: usize, node: usize| -> bool {
-            peer == node
-                || placement
-                    .map(|m| m.shard_holders(node as u64).iter().any(|&h| h as usize == peer))
-                    .unwrap_or(false)
-        };
-
-        let mut run_losses = Vec::with_capacity(total_runs);
+        let mut run_losses = Vec::with_capacity(sched.total_runs());
         let mut feature_bytes = 0usize;
         let mut distribution_bytes = 0usize;
         let mut examples = 0usize;
-        let mut steals = 0usize;
-        let mut stale_steps = 0usize;
         let mut bubble_secs = 0.0f64;
-        let mut reroutes = 0u64;
-        let mut trained = 0usize;
-        let mut slots: Vec<BTreeMap<(usize, usize), (Tensor, Vec<usize>)>> =
-            vec![BTreeMap::new(); total_runs];
         let mut round_base = model_before;
         let mut round_base_version = tuner.version();
         let mut last_reduction = 1.0f64;
-        let staleness = config.staleness;
 
         // Collects every outstanding delta ack, folding failures in.
-        let collect_acks = |pending: &mut Vec<(mpsc::Receiver<WorkerReply>, f64)>,
+        let collect_acks = |pending: &mut Vec<mpsc::Receiver<WorkerReply>>,
                             live: &mut Vec<usize>,
                             failures: &mut Vec<PeerFailure>,
                             distribution_bytes: &mut usize| {
-            for (rx, _) in pending.drain(..) {
-                for reply in rx {
-                    match reply.result {
-                        Ok(_) => *distribution_bytes += reply.sent_bytes as usize,
-                        Err(error) => {
-                            live.retain(|&p| p != reply.index);
-                            failures.push(PeerFailure {
-                                index: reply.index,
-                                peer: reply.peer.to_string(),
-                                op: reply.op,
-                                attempts: reply.attempts,
-                                error,
-                            });
-                        }
+            for reply in pending.drain(..).flatten() {
+                match reply.result {
+                    Ok(_) => *distribution_bytes += reply.sent_bytes as usize,
+                    Err(error) => {
+                        live.retain(|&p| p != reply.index);
+                        failures.push(PeerFailure::new(
+                            reply.index,
+                            reply.peer.to_string(),
+                            reply.op,
+                            reply.attempts,
+                            error,
+                        ));
                     }
                 }
             }
         };
 
-        for g in 0..total_runs {
+        for g in 0..sched.total_runs() {
             let t0 = Instant::now();
-            while remaining.get(g).is_some_and(|&r| r > 0) {
-                // Dispatch phase: fill every live peer's window with
-                // eligible work — own queue first, then steal the
-                // deepest backlog it holds a replica of.
+            while !sched.run_ready(g) {
+                // Dispatch: fill every live peer's window with whatever
+                // the schedule hands it.
                 let mut progressed = true;
                 while progressed {
                     progressed = false;
                     for p in live.clone() {
-                        let Some(window) = in_flight.get(p) else { continue };
-                        if window.len() >= MAX_INFLIGHT {
+                        if in_flight.get(p).is_none_or(|w| w.len() >= MAX_INFLIGHT) {
                             continue;
                         }
-                        let eligible = |q: &VecDeque<SliceTask>| {
-                            q.front().is_some_and(|t| t.g <= trained + staleness)
-                        };
-                        // Own shard first; otherwise steal.
-                        let mut source = match queues.get(&p) {
-                            Some(q) if eligible(q) => Some((p, false)),
-                            _ => None,
-                        };
-                        if source.is_none() {
-                            let mut best_len = 0;
-                            for (&node, q) in &queues {
-                                if node != p
-                                    && q.len() > best_len
-                                    && eligible(q)
-                                    && can_serve(p, node)
-                                {
-                                    best_len = q.len();
-                                    source = Some((node, true));
-                                }
-                            }
-                        }
-                        let Some((node, stolen)) = source else { continue };
-                        let Some(task) = queues.get_mut(&node).and_then(VecDeque::pop_front)
-                        else {
+                        let claim = sched.next_for(|node| node == p, |node| can_serve(p, node));
+                        let Some((task, stolen)) = claim else {
                             continue;
                         };
                         if stolen {
-                            if live.contains(&node) {
-                                steals += 1;
-                            } else {
-                                reroutes += 1;
+                            let owner_live = live.contains(&task.node);
+                            sched.record_steal(owner_live);
+                            if !owner_live {
                                 count_reroutes(1);
                             }
                         }
-                        if task.g > trained {
-                            stale_steps += 1;
-                        }
                         let job = Job::Op {
                             op: PeerOp::ExtractSlice {
-                                node: task.node as u64,
-                                run: (task.g % n_run) as u32,
-                                n_run: n_run as u32,
+                                node: Some(task.node as u64),
+                                run: task.run as u32,
+                                n_run: config.n_run as u32,
                                 mb: task.mb as u32,
                                 n_mb: task.n_mb as u32,
                             },
@@ -1737,139 +1364,85 @@ impl Cluster {
                             .peers
                             .get(p)
                             .is_some_and(|slot| slot.tx.send(job).is_ok());
-                        if sent {
-                            if let Some(w) = in_flight.get_mut(p) {
-                                w.push_back(task);
+                        match in_flight.get_mut(p) {
+                            Some(window) if sent => {
+                                window.push_back(task);
+                                progressed = true;
                             }
-                            progressed = true;
-                        } else {
-                            // Worker gone: treat like a transport death.
-                            live.retain(|&q| q != p);
-                            failures.push(PeerFailure {
-                                index: p,
-                                peer: self
-                                    .peers
-                                    .get(p)
-                                    .map(|s| s.addr.to_string())
-                                    .unwrap_or_else(|| "<out of range>".to_string()),
-                                op: "extract_slice",
-                                attempts: 0,
-                                error: RpcError::Protocol("peer worker is gone"),
-                            });
-                            if let Some(q) = queues.get_mut(&node) {
-                                q.push_front(task);
+                            _ => {
+                                // Worker gone: treat like a transport death.
+                                live.retain(|&q| q != p);
+                                failures.push(self.unreached(
+                                    p,
+                                    "extract_slice",
+                                    "peer worker is gone",
+                                ));
+                                sched.fail(task);
                             }
                         }
                     }
                 }
 
-                // Nodes no live peer can serve: drop their queued work
-                // (completed and in-flight micro-batches still train).
-                let orphaned: Vec<usize> = queues
-                    .iter()
-                    .filter(|(_, q)| !q.is_empty())
-                    .map(|(&node, _)| node)
-                    .filter(|&node| !live.iter().any(|&p| can_serve(p, node)))
-                    .collect();
-                for node in orphaned {
-                    if let Some(q) = queues.remove(&node) {
-                        for t in &q {
-                            if let Some(r) = remaining.get_mut(t.g) {
-                                *r = r.saturating_sub(1);
-                            }
-                        }
-                        failures.push(PeerFailure {
-                            index: node,
-                            peer: self
-                                .peers
-                                .get(node)
-                                .map(|s| s.addr.to_string())
-                                .unwrap_or_else(|| "<out of range>".to_string()),
-                            op: "extract_slice",
-                            attempts: 0,
-                            error: RpcError::Protocol("no surviving replica for shard"),
-                        });
-                    }
+                let servable = |node| live.iter().any(|&p| can_serve(p, node));
+                for node in sched.orphan_unservable(servable) {
+                    failures.push(self.unreached(
+                        node,
+                        "extract_slice",
+                        "no surviving replica for shard",
+                    ));
                 }
-                self.admit(&live, failures.len())
-                    .map_err(|()| self.reject(live.len(), std::mem::take(&mut failures)))?;
-                if remaining.get(g).copied().unwrap_or(0) == 0 {
+                self.admit(&live, &mut failures)?;
+                if sched.run_ready(g) {
                     break;
                 }
 
-                // Gather phase: block on one extract reply.
+                // Gather: block on one extract reply.
                 let Ok(reply) = ext_rx.recv() else {
                     return Err(ClusterError::Config("extract reply lane closed"));
                 };
-                let Some(task) = in_flight
-                    .get_mut(reply.index)
-                    .and_then(VecDeque::pop_front)
+                let Some(task) = in_flight.get_mut(reply.index).and_then(VecDeque::pop_front)
                 else {
                     return Err(ClusterError::Config("unmatched extract reply"));
                 };
-                match reply.result {
+                let error = match reply.result {
                     Ok(PeerOk::Features { features, labels }) => {
                         feature_bytes += reply.recv_bytes as usize;
-                        if let Some(slot) = slots.get_mut(task.g) {
-                            slot.insert((task.node, task.mb), (features, labels));
-                        }
-                        if let Some(r) = remaining.get_mut(task.g) {
-                            *r = r.saturating_sub(1);
-                        }
+                        sched.complete(task, features, labels);
+                        continue;
                     }
-                    Ok(_) => {
-                        // Shape violation: count the peer out.
-                        live.retain(|&p| p != reply.index);
-                        failures.push(PeerFailure {
-                            index: reply.index,
-                            peer: reply.peer.to_string(),
-                            op: reply.op,
-                            attempts: reply.attempts,
-                            error: RpcError::Protocol("unexpected reply shape"),
-                        });
-                        requeue(&mut queues, task);
-                    }
-                    Err(error) => {
-                        live.retain(|&p| p != reply.index);
-                        failures.push(PeerFailure {
-                            index: reply.index,
-                            peer: reply.peer.to_string(),
-                            op: reply.op,
-                            attempts: reply.attempts,
-                            error,
-                        });
-                        requeue(&mut queues, task);
-                    }
-                }
-                self.admit(&live, failures.len())
-                    .map_err(|()| self.reject(live.len(), std::mem::take(&mut failures)))?;
+                    Ok(_) => RpcError::Protocol("unexpected reply shape"),
+                    Err(error) => error,
+                };
+                // A failed or malformed reply counts the peer out.
+                live.retain(|&p| p != reply.index);
+                failures.push(PeerFailure::new(
+                    reply.index,
+                    reply.peer.to_string(),
+                    reply.op,
+                    reply.attempts,
+                    error,
+                ));
+                sched.fail(task);
+                self.admit(&live, &mut failures)?;
             }
             bubble_secs += t0.elapsed().as_secs_f64();
 
-            // Train run g: splice features in (node, micro-batch) order.
-            let mut rows = Vec::new();
-            let mut labels = Vec::new();
-            let gathered = slots.get_mut(g).map(std::mem::take).unwrap_or_default();
-            for (features, l) in gathered.into_values() {
-                for i in 0..l.len() {
-                    rows.push(features.row(i));
-                }
-                labels.extend(l);
-            }
-            if rows.is_empty() {
+            let Some((features, labels)) = sched.take_run(g) else {
                 return Err(ClusterError::Config("no features survived for a run"));
-            }
+            };
             examples += labels.len();
-            let features = Tensor::stack_rows(&rows);
+            let timer = phase_timer("train");
             let loss = tuner.train_on_features(&features, &labels, config.epochs_per_run, rng);
+            drop(timer);
             run_losses.push(loss);
-            trained = g + 1;
+            sched.mark_trained(g);
 
             // Round boundary: distribute the delta. With S = 0 the
             // schedule waits for every ack (the oracle's barrier);
             // otherwise acks gather lazily while the next round's
             // extraction is already in flight.
-            if trained % n_run == 0 {
+            if (g + 1) % config.n_run == 0 {
+                let _timer = phase_timer("redistribute");
                 let delta = tuner
                     .delta_from(&round_base)
                     .with_versions(round_base_version, tuner.version());
@@ -1892,16 +1465,15 @@ impl Cluster {
                     }
                 }
                 drop(dtx);
-                pending_acks.push((drx, last_reduction));
-                if staleness == 0 {
+                pending_acks.push(drx);
+                if config.staleness == 0 {
                     collect_acks(
                         &mut pending_acks,
                         &mut live,
                         &mut failures,
                         &mut distribution_bytes,
                     );
-                    self.admit(&live, failures.len())
-                        .map_err(|()| self.reject(live.len(), std::mem::take(&mut failures)))?;
+                    self.admit(&live, &mut failures)?;
                 }
             }
         }
@@ -1913,38 +1485,13 @@ impl Cluster {
             &mut failures,
             &mut distribution_bytes,
         );
-        self.admit(&live, failures.len())
-            .map_err(|()| self.reject(live.len(), std::mem::take(&mut failures)))?;
+        self.admit(&live, &mut failures)?;
 
         let schedule = ScheduleStats {
-            micro_batches,
-            steals,
-            stale_steps,
             bubble_secs,
+            ..sched.stats()
         };
-        if record {
-            let m = telemetry::global();
-            m.counter(
-                "ndpipe_ftdmp_remote_rounds_total",
-                "completed remote FT-DMP fine-tuning rounds",
-            )
-            .add(rounds as u64);
-            m.counter(
-                "ndpipe_ftdmp_steals_total",
-                "FT-DMP micro-batches re-extracted away from their home store",
-            )
-            .add(steals as u64);
-            m.counter(
-                "ndpipe_ftdmp_stale_steps_total",
-                "FT-DMP micro-batches extracted ahead of the Tuner's training run",
-            )
-            .add(stale_steps as u64);
-            m.histogram(
-                "ndpipe_ftdmp_bubble_seconds",
-                "seconds the Tuner idled waiting for a run's features",
-            )
-            .observe(bubble_secs);
-        }
+        record_job(Origin::Remote, rounds, feature_bytes, &schedule);
 
         Ok(ClusterFtdmpReport {
             report: FtdmpReport {
@@ -1957,16 +1504,26 @@ impl Cluster {
             },
             failures,
             peers_used: live,
-            reroutes,
+            reroutes: sched.reroutes(),
         })
     }
 
+    /// A failure of `op` for peer or node `index` that no request reached.
+    fn unreached(&self, index: usize, op: &'static str, why: &'static str) -> PeerFailure {
+        let peer = match self.peers.get(index) {
+            Some(slot) => slot.addr.to_string(),
+            None => "<out of range>".to_string(),
+        };
+        PeerFailure::new(index, peer, op, 0, RpcError::Protocol(why))
+    }
 
-    fn admit(&self, live: &[usize], failed: usize) -> Result<(), ()> {
-        if self.policy.admits(live.len(), failed) {
+    /// Applies the failure policy to the survivors; on rejection the
+    /// collected failures move into the error.
+    fn admit(&self, live: &[usize], failures: &mut Vec<PeerFailure>) -> Result<(), ClusterError> {
+        if self.policy.admits(live.len(), failures.len()) {
             Ok(())
         } else {
-            Err(())
+            Err(self.reject(live.len(), std::mem::take(failures)))
         }
     }
 

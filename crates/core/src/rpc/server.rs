@@ -18,6 +18,7 @@
 //! post-handshake building block.
 
 use crate::checknrun::ModelDelta;
+use crate::ftdmp::schedule::slice_bounds;
 use crate::npe::engine::EngineConfig;
 use crate::online::BatchPolicy;
 use crate::pipestore::PipeStore;
@@ -244,30 +245,6 @@ fn handle(store: &RwLock<PipeStore>, request: Request) -> Option<Reply> {
             }
             Err(e) => Reply::Error(format!("bad model blob: {e}")),
         },
-        Request::ExtractFeatures { run, n_run } => {
-            if n_run == 0 || run >= n_run {
-                return Some(Reply::Error("bad run index".to_string()));
-            }
-            let store = store.read();
-            if store.model().is_none() {
-                return Some(Reply::Error("no model installed".to_string()));
-            }
-            let n = store.shard_len();
-            let lo = run as usize * n / n_run as usize;
-            let hi = (run as usize + 1) * n / n_run as usize;
-            if lo >= hi {
-                return Some(Reply::Error("empty run slice".to_string()));
-            }
-            // The batched NPE path: bit-identical to the serial
-            // reference, and it feeds the store's pipeline stats.
-            let cfg = EngineConfig::default();
-            // ndlint: allow(blocking, reason = "the only sleep on this path is the opt-in straggler simulation delay (PipeStore::set_extract_delay), never set on production paths; extraction itself must hold the store guard")
-            let ((features, labels), _stats) = store.extract_features_batched(lo..hi, &cfg);
-            Reply::Features {
-                features,
-                labels: labels.into_iter().map(|l| l as u32).collect(),
-            }
-        }
         Request::OfflineInfer => {
             let store = store.read();
             if store.model().is_none() {
@@ -331,32 +308,6 @@ fn handle(store: &RwLock<PipeStore>, request: Request) -> Option<Reply> {
             None => Reply::Error(format!("photo {id} not stored here")),
         },
         Request::ListPhotos => Reply::PhotoIds(store.read().photo_ids()),
-        Request::ExtractFeaturesFor { node, run, n_run } => {
-            if n_run == 0 || run >= n_run {
-                return Some(Reply::Error("bad run index".to_string()));
-            }
-            let store = store.read();
-            if store.model().is_none() {
-                return Some(Reply::Error("no model installed".to_string()));
-            }
-            let Some(shard) = store.shard_for(node) else {
-                return Some(Reply::Error(format!("no replica shard for node {node}")));
-            };
-            let n = shard.len();
-            let lo = run as usize * n / n_run as usize;
-            let hi = (run as usize + 1) * n / n_run as usize;
-            if lo >= hi {
-                return Some(Reply::Error("empty run slice".to_string()));
-            }
-            // ndlint: allow(blocking, reason = "the only sleep on this path is the opt-in straggler simulation delay (PipeStore::set_extract_delay), never set on production paths; extraction itself must hold the store guard")
-            match store.extract_features_batched_for(node, lo..hi, &EngineConfig::default()) {
-                Some(((features, labels), _stats)) => Reply::Features {
-                    features,
-                    labels: labels.into_iter().map(|l| l as u32).collect(),
-                },
-                None => Reply::Error(format!("no replica shard for node {node}")),
-            }
-        }
         Request::ExtractSlice {
             node,
             run,
@@ -377,19 +328,23 @@ fn handle(store: &RwLock<PipeStore>, request: Request) -> Option<Reply> {
             let Some(shard) = store.shard_for(node) else {
                 return Some(Reply::Error(format!("no replica shard for node {node}")));
             };
-            let n = shard.len();
-            let lo = run as usize * n / n_run as usize;
-            let hi = (run as usize + 1) * n / n_run as usize;
-            // Micro-batch sub-slices partition [lo, hi) contiguously, so
+            // Micro-batch sub-slices partition the run contiguously, so
             // concatenating replies in mb order is bit-identical to one
             // whole-run extraction.
-            let mlo = lo + mb as usize * (hi - lo) / n_mb as usize;
-            let mhi = lo + (mb as usize + 1) * (hi - lo) / n_mb as usize;
-            if mlo >= mhi {
+            let rows = slice_bounds(
+                shard.len(),
+                run as usize,
+                n_run as usize,
+                mb as usize,
+                n_mb as usize,
+            );
+            if rows.is_empty() {
                 return Some(Reply::Error("empty micro-batch slice".to_string()));
             }
+            // The batched NPE path: bit-identical to the serial
+            // reference, and it feeds the store's pipeline stats.
             // ndlint: allow(blocking, reason = "the only sleep on this path is the opt-in straggler simulation delay (PipeStore::set_extract_delay), never set on production paths; extraction itself must hold the store guard")
-            match store.extract_features_batched_for(node, mlo..mhi, &EngineConfig::default()) {
+            match store.extract_features_batched_for(node, rows, &EngineConfig::default()) {
                 Some(((features, labels), _stats)) => Reply::Features {
                     features,
                     labels: labels.into_iter().map(|l| l as u32).collect(),
@@ -1627,6 +1582,17 @@ mod tests {
         PipeStore::new(0, LabeledDataset::new(rows, labels, 3))
     }
 
+    /// Whole run `run` of `n_run` over store 0's own shard.
+    fn whole_run(run: u32, n_run: u32) -> Request {
+        Request::ExtractSlice {
+            node: 0,
+            run,
+            n_run,
+            mb: 0,
+            n_mb: 1,
+        }
+    }
+
     fn shared_for(store: PipeStore) -> Arc<Shared> {
         let registry = Arc::clone(store.metrics());
         Arc::new(Shared {
@@ -1656,7 +1622,7 @@ mod tests {
     fn handle_rejects_work_without_model() {
         let mut rng = StdRng::seed_from_u64(1);
         let s = RwLock::new(store(&mut rng));
-        match handle(&s, Request::ExtractFeatures { run: 0, n_run: 1 }) {
+        match handle(&s, whole_run(0, 1)) {
             Some(Reply::Error(msg)) => assert!(msg.contains("no model")),
             other => panic!("unexpected {other:?}"),
         }
@@ -1695,12 +1661,30 @@ mod tests {
             handle(&s, Request::InstallModel(model.to_bytes())),
             Some(Reply::Ack)
         );
-        match handle(&s, Request::ExtractFeatures { run: 0, n_run: 3 }) {
+        match handle(&s, whole_run(0, 3)) {
             Some(Reply::Features { features, labels }) => {
                 assert_eq!(features.dims()[0], labels.len());
                 assert_eq!(features.dims()[1], 6);
             }
             other => panic!("unexpected {other:?}"),
+        }
+        // A micro-batch index past its count, and a node with no shard here.
+        let slice = |node, mb, n_mb| Request::ExtractSlice {
+            node,
+            run: 0,
+            n_run: 1,
+            mb,
+            n_mb,
+        };
+        for (bad, why) in [
+            (slice(0, 2, 2), "micro-batch"),
+            (slice(0, 0, 0), "micro-batch"),
+            (slice(7, 0, 1), "no replica shard"),
+        ] {
+            match handle(&s, bad) {
+                Some(Reply::Error(msg)) => assert!(msg.contains(why), "{msg}"),
+                other => panic!("unexpected {other:?}"),
+            }
         }
     }
 
@@ -1716,10 +1700,7 @@ mod tests {
             handle(&s, Request::ApplyDelta(vec![1])),
             Some(Reply::Error(_))
         ));
-        assert!(matches!(
-            handle(&s, Request::ExtractFeatures { run: 5, n_run: 3 }),
-            Some(Reply::Error(_))
-        ));
+        assert!(matches!(handle(&s, whole_run(5, 3)), Some(Reply::Error(_))));
     }
 
     #[test]
@@ -1733,7 +1714,7 @@ mod tests {
             Some(Reply::Ack)
         );
         // An extraction run populates NPE metrics in the store registry.
-        let _ = handle(&s, Request::ExtractFeatures { run: 0, n_run: 1 });
+        let _ = handle(&s, whole_run(0, 1));
         match handle(&s, Request::Metrics) {
             Some(Reply::Metrics(snap)) => {
                 assert!(!snap.is_empty(), "store registry must have NPE metrics");

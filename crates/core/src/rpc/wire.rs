@@ -18,7 +18,9 @@ pub const MAX_FRAME: usize = 256 * 1024 * 1024;
 /// Wire protocol revision. Bump on any frame-layout change; the
 /// handshake refuses mismatched peers before any payload moves.
 /// v2: `ShardInfo` carries the store's math policy and kernel family.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// v3: `ExtractSlice` is the only extraction request (tags 2 and 14,
+/// the whole-run and replica-run extracts, are retired).
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Feature bit: the peer serves telemetry scrapes (`Metrics`).
 pub const FEATURE_METRICS: u64 = 1 << 0;
@@ -90,13 +92,6 @@ impl PhotoRecord {
 pub enum Request {
     /// Install a full model replica (serialized `Mlp`).
     InstallModel(Vec<u8>),
-    /// Extract features for pipeline run `run` of `n_run`.
-    ExtractFeatures {
-        /// Zero-based run index.
-        run: u32,
-        /// Total pipeline runs.
-        n_run: u32,
-    },
     /// Run offline inference over the local shard.
     OfflineInfer,
     /// Apply a Check-N-Run delta to the local replica.
@@ -127,22 +122,11 @@ pub enum Request {
     GetPhoto(u64),
     /// List the photo ids this store holds (rebalance planning).
     ListPhotos,
-    /// Extract features for run `run` of `n_run` over the *replica
-    /// shard* of node `node` instead of the store's own shard — the
-    /// mid-sweep reroute path when `node` died.
-    ExtractFeaturesFor {
-        /// Whose shard to extract (a placement node id).
-        node: u64,
-        /// Zero-based run index.
-        run: u32,
-        /// Total pipeline runs.
-        n_run: u32,
-    },
-    /// Streaming micro-batch extraction: micro-batch `mb` of `n_mb`
-    /// within run `run` of `n_run`, over node `node`'s shard (the
-    /// store's own when `node` is its id, otherwise a replica — which
-    /// makes this single op both the pipelined extract *and* the
-    /// straggler-steal path).
+    /// The one extraction op: micro-batch `mb` of `n_mb` within run `run`
+    /// of `n_run`, over node `node`'s shard (the store's own when `node`
+    /// is its id, otherwise a replica — so it is the pipelined extract,
+    /// the straggler steal and the dead-owner reroute alike; `mb: 0,
+    /// n_mb: 1` extracts a whole run).
     ExtractSlice {
         /// Whose shard to extract (a placement node id).
         node: u64,
@@ -169,7 +153,6 @@ impl Request {
     pub fn op_name(&self) -> &'static str {
         match self {
             Request::InstallModel(_) => "install_model",
-            Request::ExtractFeatures { .. } => "extract_features",
             Request::OfflineInfer => "offline_infer",
             Request::ApplyDelta(_) => "apply_delta",
             Request::Describe => "describe",
@@ -180,7 +163,6 @@ impl Request {
             Request::PutPhoto(_) => "put_photo",
             Request::GetPhoto(_) => "get_photo",
             Request::ListPhotos => "list_photos",
-            Request::ExtractFeaturesFor { .. } => "extract_features_for",
             Request::ExtractSlice { .. } => "extract_slice",
             Request::DescribeNode(_) => "describe_node",
             Request::Shutdown => "shutdown",
@@ -268,7 +250,6 @@ pub enum Handshake {
 }
 
 const TAG_INSTALL: u8 = 1;
-const TAG_EXTRACT: u8 = 2;
 const TAG_INFER: u8 = 3;
 const TAG_DELTA: u8 = 4;
 const TAG_DESCRIBE: u8 = 5;
@@ -280,7 +261,6 @@ const TAG_INSTALL_PLACEMENT: u8 = 10;
 const TAG_PUT_PHOTO: u8 = 11;
 const TAG_GET_PHOTO: u8 = 12;
 const TAG_LIST_PHOTOS: u8 = 13;
-const TAG_EXTRACT_FOR: u8 = 14;
 const TAG_EXTRACT_SLICE: u8 = 15;
 const TAG_DESCRIBE_NODE: u8 = 16;
 const TAG_HELLO: u8 = 32;
@@ -353,12 +333,6 @@ impl Request {
     pub(crate) fn encode_body(&self) -> (u8, Vec<u8>) {
         match self {
             Request::InstallModel(m) => (TAG_INSTALL, m.clone()),
-            Request::ExtractFeatures { run, n_run } => {
-                let mut p = Vec::with_capacity(8);
-                put_u32(&mut p, *run);
-                put_u32(&mut p, *n_run);
-                (TAG_EXTRACT, p)
-            }
             Request::OfflineInfer => (TAG_INFER, Vec::new()),
             Request::ApplyDelta(d) => (TAG_DELTA, d.clone()),
             Request::Describe => (TAG_DESCRIBE, Vec::new()),
@@ -384,13 +358,6 @@ impl Request {
                 (TAG_GET_PHOTO, p)
             }
             Request::ListPhotos => (TAG_LIST_PHOTOS, Vec::new()),
-            Request::ExtractFeaturesFor { node, run, n_run } => {
-                let mut p = Vec::with_capacity(16);
-                put_u64(&mut p, *node);
-                put_u32(&mut p, *run);
-                put_u32(&mut p, *n_run);
-                (TAG_EXTRACT_FOR, p)
-            }
             Request::ExtractSlice {
                 node,
                 run,
@@ -418,16 +385,6 @@ impl Request {
     pub(crate) fn decode_body(tag: u8, payload: &[u8]) -> Result<Request, RpcError> {
         match tag {
             TAG_INSTALL => Ok(Request::InstallModel(payload.to_vec())),
-            TAG_EXTRACT => {
-                let mut c = Cursor {
-                    buf: payload,
-                    pos: 0,
-                };
-                let run = c.u32()?;
-                let n_run = c.u32()?;
-                c.finish()?;
-                Ok(Request::ExtractFeatures { run, n_run })
-            }
             TAG_INFER => Ok(Request::OfflineInfer),
             TAG_DELTA => Ok(Request::ApplyDelta(payload.to_vec())),
             TAG_DESCRIBE => Ok(Request::Describe),
@@ -475,17 +432,6 @@ impl Request {
                 Ok(Request::GetPhoto(id))
             }
             TAG_LIST_PHOTOS => Ok(Request::ListPhotos),
-            TAG_EXTRACT_FOR => {
-                let mut c = Cursor {
-                    buf: payload,
-                    pos: 0,
-                };
-                let node = c.u64()?;
-                let run = c.u32()?;
-                let n_run = c.u32()?;
-                c.finish()?;
-                Ok(Request::ExtractFeaturesFor { node, run, n_run })
-            }
             TAG_EXTRACT_SLICE => {
                 let mut c = Cursor {
                     buf: payload,
@@ -991,7 +937,14 @@ mod tests {
     #[test]
     fn request_roundtrips() {
         roundtrip_req(Request::InstallModel(vec![1, 2, 3]));
-        roundtrip_req(Request::ExtractFeatures { run: 2, n_run: 3 });
+        // A whole run of the store's own shard is one micro-batch of one.
+        roundtrip_req(Request::ExtractSlice {
+            node: 0,
+            run: 2,
+            n_run: 3,
+            mb: 0,
+            n_mb: 1,
+        });
         roundtrip_req(Request::OfflineInfer);
         roundtrip_req(Request::ApplyDelta(vec![9; 100]));
         roundtrip_req(Request::Describe);
@@ -1001,6 +954,18 @@ mod tests {
         });
         roundtrip_req(Request::Infer { features: vec![] });
         roundtrip_req(Request::Shutdown);
+    }
+
+    /// Protocol v3 retired the whole-run (2) and replica-run (14)
+    /// extraction tags; a v2 frame must be refused, not misparsed.
+    #[test]
+    fn retired_extraction_tags_are_unknown() {
+        for tag in [2u8, 14] {
+            assert!(matches!(
+                Request::decode_body(tag, &[0; 16]),
+                Err(RpcError::Protocol("unknown request tag"))
+            ));
+        }
     }
 
     fn sample_record() -> PhotoRecord {
@@ -1023,10 +988,12 @@ mod tests {
         roundtrip_req(Request::PutPhoto(sample_record()));
         roundtrip_req(Request::GetPhoto(u64::MAX));
         roundtrip_req(Request::ListPhotos);
-        roundtrip_req(Request::ExtractFeaturesFor {
+        roundtrip_req(Request::ExtractSlice {
             node: 9,
             run: 1,
             n_run: 4,
+            mb: 0,
+            n_mb: 1,
         });
         roundtrip_req(Request::ExtractSlice {
             node: 3,
@@ -1336,7 +1303,6 @@ mod tests {
                 Just(Request::Metrics),
                 Just(Request::OfflineInfer),
                 Just(Request::Shutdown),
-                (0u32..8, 1u32..8).prop_map(|(run, n_run)| Request::ExtractFeatures { run, n_run }),
                 proptest::collection::vec(any::<u8>(), 0..256).prop_map(Request::InstallModel),
                 proptest::collection::vec(any::<u8>(), 0..256).prop_map(Request::ApplyDelta),
                 proptest::collection::vec(-1e6f32..1e6, 0..64)
@@ -1344,12 +1310,6 @@ mod tests {
                 Just(Request::Placement),
                 Just(Request::ListPhotos),
                 any::<u64>().prop_map(Request::GetPhoto),
-                (any::<u64>(), 0u32..8, 1u32..8)
-                    .prop_map(|(node, run, n_run)| Request::ExtractFeaturesFor {
-                        node,
-                        run,
-                        n_run
-                    }),
                 (any::<u64>(), 0u32..8, 1u32..8, 0u32..8, 1u32..8).prop_map(
                     |(node, run, n_run, mb, n_mb)| Request::ExtractSlice {
                         node,

@@ -189,6 +189,12 @@ impl Config {
                     file_suffix: "core/src/rpc/cluster.rs".into(),
                     filter: FnFilter::All,
                 },
+                // The FT-DMP schedule: the cluster driver's scheduling
+                // decisions live here, and its guarantee follows them.
+                Zone {
+                    file_suffix: "core/src/ftdmp/schedule.rs".into(),
+                    filter: FnFilter::All,
+                },
                 // The poll(2)/pipe(2) shim under the event loop: a raw
                 // syscall error must come back as io::Error, not a panic
                 // that kills the only event thread.

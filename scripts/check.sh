@@ -5,11 +5,18 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
-# The opt-in fast-math families must pass the same suite: NDPIPE_MATH=fast
+# Root suite plus every crate's own unit/property tests (the schedule
+# state machine, wire codecs, ndlint's fixtures, ... live there).
+cargo test -q --workspace
+# The opt-in fast-math families must pass the same suites: NDPIPE_MATH=fast
 # flips the process-default MathPolicy, so every non-pinned GEMM in the
 # tests runs through the FMA/AVX-512 kernels.
-NDPIPE_MATH=fast cargo test -q
+NDPIPE_MATH=fast cargo test -q --workspace
+# The benchmark builds against crates/* by path and is not a workspace
+# member: its tests (incl. the --tiny run of all four workloads with
+# every correctness check) are what catches a public-API change that
+# would stop BENCHMARK.json's command from compiling.
+cargo test -q --offline --manifest-path ledger/Cargo.toml
 # Static pass: machine-readable report diffed against the checked-in
 # baseline (fails on new findings), archived next to the bench JSON,
 # plus the wall-clock budget artifact (< 5 s for the whole workspace).

@@ -68,8 +68,10 @@ fn quorum_survives_killed_peer() {
     let ft = FtdmpConfig {
         n_run: 1,
         epochs_per_run: 4,
+        // The barrier schedule: S = 0, one extraction per peer per run.
+        micro_batch: usize::MAX,
+        staleness: 0,
         train: cfg,
-        ..FtdmpConfig::default()
     };
 
     let (mut servers, addrs) = spawn_servers(&train, 3);
@@ -83,7 +85,7 @@ fn quorum_survives_killed_peer() {
 
     // Round 1: every peer healthy.
     let r1 = cluster
-        .ftdmp_fine_tune(&mut tuner, &ft, &mut rng)
+        .ftdmp_fine_tune_pipelined(&mut tuner, &ft, 1, &mut rng, None)
         .expect("healthy round");
     assert_eq!(r1.peers_used, vec![0, 1, 2]);
     assert!(r1.failures.is_empty());
@@ -96,7 +98,7 @@ fn quorum_survives_killed_peer() {
     // Round 2: the quorum of two completes; the corpse is reported, not
     // fatal.
     let r2 = cluster
-        .ftdmp_fine_tune(&mut tuner, &ft, &mut rng)
+        .ftdmp_fine_tune_pipelined(&mut tuner, &ft, 1, &mut rng, None)
         .expect("quorum round with a dead peer");
     assert_eq!(r2.peers_used, vec![0, 1]);
     assert_eq!(r2.failures.len(), 1, "failures: {:?}", r2.failures);
@@ -128,8 +130,10 @@ fn strict_surfaces_peer_unavailable() {
     let ft = FtdmpConfig {
         n_run: 1,
         epochs_per_run: 2,
+        // The barrier schedule: S = 0, one extraction per peer per run.
+        micro_batch: usize::MAX,
+        staleness: 0,
         train: cfg,
-        ..FtdmpConfig::default()
     };
 
     let (mut servers, addrs) = spawn_servers(&train, 2);
@@ -143,7 +147,7 @@ fn strict_surfaces_peer_unavailable() {
     servers.remove(1).abort().expect("abort victim");
 
     let err = cluster
-        .ftdmp_fine_tune(&mut tuner, &ft, &mut rng)
+        .ftdmp_fine_tune_pipelined(&mut tuner, &ft, 1, &mut rng, None)
         .expect_err("strict must reject a dead peer");
     match err {
         ClusterError::Rejected { ok, failures, .. } => {
@@ -295,8 +299,10 @@ fn placement_reroutes_dead_peers_shard_mid_sweep() {
     let ft = FtdmpConfig {
         n_run: 2,
         epochs_per_run: 3,
+        // The barrier schedule: S = 0, one extraction per peer per run.
+        micro_batch: usize::MAX,
+        staleness: 0,
         train: cfg,
-        ..FtdmpConfig::default()
     };
 
     // Three stores, R = 2: each node's shard also lives on the replica
@@ -328,7 +334,7 @@ fn placement_reroutes_dead_peers_shard_mid_sweep() {
 
     // Healthy sweep: every shard served by its owner, no reroutes.
     let r1 = cluster
-        .ftdmp_fine_tune_with(&mut tuner, &ft, &mut rng, Some(&map))
+        .ftdmp_fine_tune_pipelined(&mut tuner, &ft, 1, &mut rng, Some(&map))
         .expect("healthy sweep");
     assert_eq!(r1.report.examples, train.len());
     assert_eq!(r1.reroutes, 0);
@@ -339,7 +345,7 @@ fn placement_reroutes_dead_peers_shard_mid_sweep() {
     let victim = 1usize;
     servers.remove(victim).abort().expect("abort victim");
     let r2 = cluster
-        .ftdmp_fine_tune_with(&mut tuner, &ft, &mut rng, Some(&map))
+        .ftdmp_fine_tune_pipelined(&mut tuner, &ft, 1, &mut rng, Some(&map))
         .expect("sweep with a dead replica");
     assert_eq!(
         r2.report.examples,

@@ -3,7 +3,9 @@
 
 use dnn::{Mlp, TrainConfig, Trainer};
 use ndpipe::ftdmp::FtdmpConfig;
-use ndpipe::rpc::{Cluster, PipeStoreServer, RemotePipeStore, ServerConfig};
+use ndpipe::rpc::{
+    Cluster, ClusterError, PipeStoreServer, RemotePipeStore, RpcError, ServerConfig,
+};
 use ndpipe::{PipeStore, Tuner};
 use ndpipe_data::{ClassUniverse, LabeledDataset};
 use rand::rngs::StdRng;
@@ -24,6 +26,18 @@ fn dataset(rng: &mut StdRng, classes: usize, per_class: usize) -> (LabeledDatase
         LabeledDataset::new(rows, labels, u.classes())
     };
     (make(&u, rng, per_class), make(&u, rng, per_class / 2))
+}
+
+/// The run-at-a-time barrier schedule as a configuration of the one
+/// cluster entry point: `S = 0`, one extraction per peer per run.
+fn barrier(n_run: usize, epochs_per_run: usize, train: TrainConfig) -> FtdmpConfig {
+    FtdmpConfig {
+        n_run,
+        epochs_per_run,
+        micro_batch: usize::MAX,
+        staleness: 0,
+        train,
+    }
 }
 
 /// Spawns `n` PipeStore servers on ephemeral localhost ports and returns
@@ -59,16 +73,7 @@ fn distributed_fine_tune_over_sockets_learns() {
     let (clients, servers) = spawn_fleet(&train, 3);
     let cluster = Cluster::builder().adopt(clients).expect("adopt fleet");
     let outcome = cluster
-        .ftdmp_fine_tune(
-            &mut tuner,
-            &FtdmpConfig {
-                n_run: 2,
-                epochs_per_run: 12,
-                train: cfg,
-                ..FtdmpConfig::default()
-            },
-            &mut rng,
-        )
+        .ftdmp_fine_tune_pipelined(&mut tuner, &barrier(2, 12, cfg), 1, &mut rng, None)
         .expect("distributed fine-tune");
     assert!(outcome.failures.is_empty());
     assert_eq!(outcome.peers_used, vec![0, 1, 2]);
@@ -124,12 +129,7 @@ fn distributed_matches_local_ftdmp() {
         batch: 16,
         ..TrainConfig::default()
     };
-    let ft = FtdmpConfig {
-        n_run: 1,
-        epochs_per_run: 10,
-        train: cfg,
-        ..FtdmpConfig::default()
-    };
+    let ft = barrier(1, 10, cfg);
 
     // Local threads.
     let mut local_tuner = Tuner::new(model.clone(), cfg);
@@ -148,7 +148,7 @@ fn distributed_matches_local_ftdmp() {
     let (clients, servers) = spawn_fleet(&train, 2);
     let cluster = Cluster::builder().adopt(clients).expect("adopt fleet");
     cluster
-        .ftdmp_fine_tune(&mut remote_tuner, &ft, &mut rng)
+        .ftdmp_fine_tune_pipelined(&mut remote_tuner, &ft, 1, &mut rng, None)
         .expect("remote fine-tune");
     let fan = cluster.shutdown();
     assert!(fan.failures.is_empty());
@@ -174,17 +174,19 @@ fn remote_errors_surface_cleanly() {
     let mut tuner = Tuner::new(model, cfg);
     let (clients, servers) = spawn_fleet(&train, 1);
     let cluster = Cluster::builder().adopt(clients).expect("adopt fleet");
-    let result = cluster.ftdmp_fine_tune(
-        &mut tuner,
-        &FtdmpConfig {
-            n_run: 1,
-            epochs_per_run: 1,
-            train: cfg,
-            ..FtdmpConfig::default()
-        },
-        &mut rng,
-    );
-    assert!(result.is_err(), "should refuse wider label space");
+    let result =
+        cluster.ftdmp_fine_tune_pipelined(&mut tuner, &barrier(1, 1, cfg), 1, &mut rng, None);
+    match result {
+        Err(ClusterError::Rejected { ok, failures, .. }) => {
+            assert_eq!(ok, 0);
+            assert!(
+                matches!(&failures[0].error, RpcError::Remote { msg, .. } if msg.contains("widen")),
+                "expected a typed label-space rejection, got {:?}",
+                failures[0].error
+            );
+        }
+        other => panic!("should refuse wider label space, got {other:?}"),
+    }
     cluster.shutdown();
     for s in servers {
         s.shutdown().expect("server drain");

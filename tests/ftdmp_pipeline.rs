@@ -1,7 +1,8 @@
 //! Pipelined FT-DMP over real localhost sockets: the `S = 0` oracle
-//! (bit-for-bit equal to the run-at-a-time schedule), a bounded-staleness
-//! sanity run, and (ignored by default) the slow-peer soak where a
-//! deliberately delayed store's micro-batches get stolen by its replica.
+//! (bit-for-bit equal to the in-process run-at-a-time reference), a
+//! bounded-staleness sanity run, and (ignored by default) the slow-peer
+//! soak where a deliberately delayed store's micro-batches get stolen by
+//! its replica.
 
 use dnn::{Mlp, TrainConfig, Trainer};
 use ndpipe::ftdmp::FtdmpConfig;
@@ -81,10 +82,11 @@ fn drain(cluster: Cluster, servers: Vec<PipeStoreServer>) {
     }
 }
 
-/// `S = 0` is the oracle: the pipelined schedule must reproduce the
-/// run-at-a-time barrier schedule *bit for bit* — same per-run losses,
-/// same example counts, same final weights — even though every run is
-/// split into micro-batches and streamed.
+/// `S = 0` is the oracle: the socket driver must reproduce
+/// `ftdmp_fine_tune_reference` — the one barrier implementation left —
+/// *bit for bit*: same per-run losses, same example counts, same final
+/// weights, even though every run is split into micro-batches and
+/// streamed over TCP.
 #[test]
 fn pipelined_s0_is_bit_identical_to_run_at_a_time() {
     let mut rng = StdRng::seed_from_u64(301);
@@ -104,24 +106,26 @@ fn pipelined_s0_is_bit_identical_to_run_at_a_time() {
     };
     let rounds = 2;
 
-    // Reference: `rounds` sequential run-at-a-time jobs.
+    // Reference: `rounds` sequential jobs of the in-process barrier
+    // oracle on local clones of the same shards.
     let mut ref_tuner = Tuner::new(model.clone(), cfg);
     let mut ref_rng = StdRng::seed_from_u64(777);
-    let (servers, addrs) = spawn_fleet(&shards, None, &[]);
-    let cluster = connect(&addrs);
+    let mut ref_stores: Vec<PipeStore> = shards
+        .iter()
+        .enumerate()
+        .map(|(i, shard)| PipeStore::new(i, shard.clone()))
+        .collect();
     let mut ref_losses = Vec::new();
     let mut ref_examples = 0;
     for _ in 0..rounds {
-        let out = cluster
-            .ftdmp_fine_tune_with(&mut ref_tuner, &ft, &mut ref_rng, None)
-            .expect("reference round");
-        assert!(out.failures.is_empty());
-        ref_losses.extend(out.report.run_losses);
-        ref_examples += out.report.examples;
+        let out =
+            ndpipe::ftdmp_fine_tune_reference(&mut ref_tuner, &mut ref_stores, &ft, &mut ref_rng)
+                .expect("reference round");
+        ref_losses.extend(out.run_losses);
+        ref_examples += out.examples;
     }
-    drain(cluster, servers);
 
-    // Pipelined, staleness 0, same seeds, fresh identical fleet.
+    // Over sockets, staleness 0, same seeds.
     let mut pipe_tuner = Tuner::new(model, cfg);
     let mut pipe_rng = StdRng::seed_from_u64(777);
     let (servers, addrs) = spawn_fleet(&shards, None, &[]);

@@ -3,7 +3,7 @@
 //! *what* is learned, only *where*.
 
 use dnn::{Mlp, TrainConfig, Trainer};
-use ndpipe::ftdmp::{ftdmp_fine_tune, FtdmpConfig};
+use ndpipe::ftdmp::{ftdmp_fine_tune, FtdmpConfig, FtdmpError};
 use ndpipe::{PipeStore, Tuner};
 use ndpipe_data::{ClassUniverse, LabeledDataset};
 use rand::rngs::StdRng;
@@ -185,4 +185,40 @@ fn frozen_layers_never_diverge() {
             s.id()
         );
     }
+}
+
+/// Regression: a shard narrower than the model's input used to panic an
+/// extraction worker outside the schedule lock, after which the Tuner
+/// thread waited on the condvar forever. The entry check now rejects it;
+/// a watchdog turns a relapse into a failure instead of a wedged suite.
+#[test]
+fn feature_width_mismatch_is_a_typed_error_not_a_hang() {
+    let (model, train, _, mut rng) = world(15, 4, 20);
+    let mut tuner = Tuner::new(model, TrainConfig::default());
+    let narrow: Vec<Tensor> = (0..24).map(|_| Tensor::randn(&[12], &mut rng)).collect();
+    let labels: Vec<usize> = (0..24).map(|i| i % 4).collect();
+    let mut stores = vec![
+        PipeStore::new(0, train),
+        PipeStore::new(1, LabeledDataset::new(narrow, labels, 4)),
+    ];
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        tx.send(ftdmp_fine_tune(
+            &mut tuner,
+            &mut stores,
+            &FtdmpConfig::default(),
+            &mut rng,
+        ))
+    });
+    let result = rx
+        .recv_timeout(std::time::Duration::from_secs(20))
+        .expect("watchdog: the FT-DMP job did not return");
+    assert_eq!(
+        result.expect_err("width 12 under a width-16 model"),
+        FtdmpError::FeatureWidthMismatch {
+            store: 1,
+            shard_width: 12,
+            model_width: 16,
+        }
+    );
 }

@@ -154,6 +154,46 @@ mod dataset_props {
     }
 }
 
+mod ftdmp_props {
+    use super::*;
+    use ndpipe::ftdmp::schedule::{slice_bounds, Schedule};
+    use ndpipe::ftdmp::FtdmpConfig;
+
+    proptest! {
+        /// Walking `(run, micro-batch)` in order, `slice_bounds` tiles
+        /// `[0, n)` contiguously with non-empty slices, each run's
+        /// micro-batches tile exactly that run, and the schedule builds
+        /// one task per slice `micro_batches_for` asks for.
+        #[test]
+        fn slice_bounds_partition(
+            n_run in 1usize..8,
+            extra in 0usize..120,
+            micro_batch in 0usize..12,
+        ) {
+            let n = n_run + extra;
+            let cfg = FtdmpConfig { n_run, micro_batch, ..FtdmpConfig::default() };
+            let mut next = 0;
+            let mut slices = 0;
+            for run in 0..n_run {
+                let whole = slice_bounds(n, run, n_run, 0, 1);
+                prop_assert_eq!(whole.start, next);
+                let n_mb = cfg.micro_batches_for(whole.len());
+                for mb in 0..n_mb {
+                    let rows = slice_bounds(n, run, n_run, mb, n_mb);
+                    prop_assert_eq!(rows.start, next);
+                    prop_assert!(!rows.is_empty());
+                    next = rows.end;
+                }
+                prop_assert_eq!(next, whole.end);
+                slices += n_mb;
+            }
+            prop_assert_eq!(next, n);
+            let sched = Schedule::new(&[(0, n)].into_iter().collect(), &cfg, 1);
+            prop_assert_eq!(sched.stats().micro_batches, slices);
+        }
+    }
+}
+
 mod metric_props {
     use super::*;
     use dnn::trainer::metrics_from_logits;
