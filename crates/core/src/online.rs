@@ -5,6 +5,11 @@
 //! the model over *dynamically batched* requests for GPU efficiency, and
 //! emits `(label, preprocessed binary)` so the storage tier never
 //! preprocesses anything itself.
+//!
+//! The same module owns the batching *decision* of the networked path:
+//! [`Batcher`] is the work-conserving rule the RPC front door
+//! ([`crate::rpc::server`]) uses to coalesce `Infer` rows across sessions,
+//! kept here as a pure type so it is tested without sockets.
 
 use dnn::Mlp;
 use ndpipe_data::photo::preprocessed_binary;
@@ -53,25 +58,101 @@ impl OnlineStats {
     }
 }
 
-/// Knobs for dynamic batching, shared by this in-process server and the
-/// RPC front door's cross-session coalescer: a batch fires when either
-/// `max_batch` rows have accumulated or the oldest pending row has waited
-/// `max_delay`.
+/// The one knob of the RPC front door's cross-session `Infer` coalescer
+/// ([`Batcher`]): the largest batch it hands to a worker. There is no
+/// delay knob — a row never waits on a clock, only behind a batch that is
+/// actually running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
-    /// Fire as soon as this many rows are pending.
+    /// Fire as soon as this many rows are pending, whatever is in flight.
     pub max_batch: usize,
-    /// Fire once the oldest pending row has waited this long, even if
-    /// the batch is not full — bounds added tail latency.
-    pub max_delay: std::time::Duration,
 }
 
 impl Default for BatchPolicy {
     fn default() -> Self {
-        Self {
-            max_batch: 32,
-            max_delay: std::time::Duration::from_micros(500),
+        Self { max_batch: 32 }
+    }
+}
+
+/// The decision "when does a pending batch fire", as a pure
+/// single-threaded state machine (no clock, no sockets, no threads). The
+/// rule is work-conserving, PipeDream's 1F1B condition applied to a
+/// batcher — a stage idles only when it has no input:
+///
+/// | state | an arriving item |
+/// |---|---|
+/// | nothing in flight | fires at the end of the current sweep ([`Batcher::sweep_end`]) |
+/// | a batch in flight | coalesces behind it and fires at the first sweep end after it completes ([`Batcher::batch_done`]) |
+/// | `max_batch` pending | fires at once, whatever is in flight ([`Batcher::push`]) |
+///
+/// So batches grow exactly when the consumer is the bottleneck and
+/// collapse to "run it now" when it is not. Pending never exceeds
+/// `max_batch`. Every batch a method returns counts as in flight until
+/// the caller reports it with one [`Batcher::batch_done`]; after any
+/// `sweep_end`, pending items imply a batch in flight, so nothing can
+/// strand as long as every completion is followed by a sweep.
+#[derive(Debug)]
+pub struct Batcher<T> {
+    max_batch: usize,
+    pending: Vec<T>,
+    in_flight: usize,
+}
+
+impl<T> Batcher<T> {
+    /// An empty batcher; a `max_batch` of zero is treated as one.
+    pub fn new(policy: BatchPolicy) -> Self {
+        Batcher {
+            max_batch: policy.max_batch.max(1),
+            pending: Vec::new(),
+            in_flight: 0,
         }
+    }
+
+    /// Items waiting for a batch.
+    pub fn pending(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Batches handed out and not yet reported done.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight
+    }
+
+    /// Queues one item; returns a full batch once `max_batch` are
+    /// pending.
+    pub fn push(&mut self, item: T) -> Option<Vec<T>> {
+        self.pending.push(item);
+        if self.pending.len() >= self.max_batch {
+            self.take()
+        } else {
+            None
+        }
+    }
+
+    /// End of one intake sweep: releases whatever is pending iff nothing
+    /// is in flight — an idle consumer never waits for company.
+    pub fn sweep_end(&mut self) -> Option<Vec<T>> {
+        if self.in_flight == 0 {
+            self.take()
+        } else {
+            None
+        }
+    }
+
+    /// One previously returned batch finished (whether or not anyone
+    /// still wants its results). What coalesced behind it leaves at the
+    /// next [`Batcher::sweep_end`] — in the event loop, the end of the
+    /// sweep the completion woke.
+    pub fn batch_done(&mut self) {
+        self.in_flight = self.in_flight.saturating_sub(1);
+    }
+
+    fn take(&mut self) -> Option<Vec<T>> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        self.in_flight += 1;
+        Some(std::mem::take(&mut self.pending))
     }
 }
 
@@ -308,6 +389,60 @@ mod tests {
                 .forward(&f.reshape(&[1, 8]).expect("row"))
                 .argmax()
         );
+    }
+
+    fn batcher(max_batch: usize) -> Batcher<u32> {
+        Batcher::new(BatchPolicy { max_batch })
+    }
+
+    #[test]
+    fn batcher_idle_item_fires_at_sweep_end() {
+        let mut b = batcher(4);
+        assert_eq!(b.sweep_end(), None, "nothing pending, nothing to fire");
+        assert_eq!(b.push(1), None);
+        assert_eq!(b.push(2), None);
+        assert_eq!(b.sweep_end(), Some(vec![1, 2]));
+        assert_eq!((b.pending(), b.in_flight()), (0, 1));
+        b.batch_done();
+        assert_eq!(b.in_flight(), 0);
+        assert_eq!(b.sweep_end(), None);
+    }
+
+    #[test]
+    fn batcher_coalesces_behind_the_batch_in_flight() {
+        let mut b = batcher(4);
+        b.push(1);
+        assert_eq!(b.sweep_end(), Some(vec![1]));
+        // Arrivals while the first batch runs wait for it, sweep after
+        // sweep, and leave together at the end of the sweep in which it
+        // completes — with whatever that sweep read.
+        assert_eq!(b.push(2), None);
+        assert_eq!(b.sweep_end(), None);
+        assert_eq!(b.push(3), None);
+        assert_eq!(b.sweep_end(), None);
+        b.batch_done();
+        assert_eq!(b.push(4), None);
+        assert_eq!(b.sweep_end(), Some(vec![2, 3, 4]));
+        assert_eq!((b.pending(), b.in_flight()), (0, 1));
+    }
+
+    #[test]
+    fn batcher_full_batch_fires_whatever_is_in_flight() {
+        let mut b = batcher(2);
+        b.push(1);
+        assert_eq!(b.sweep_end(), Some(vec![1]));
+        assert_eq!(b.push(2), None);
+        assert_eq!(b.push(3), Some(vec![2, 3]), "max_batch overrides the wait");
+        assert_eq!(b.in_flight(), 2);
+        // What trails the full batch waits for *both* to finish.
+        assert_eq!(b.push(4), None);
+        b.batch_done();
+        assert_eq!(b.sweep_end(), None);
+        b.batch_done();
+        assert_eq!(b.sweep_end(), Some(vec![4]));
+        // A zero max_batch degrades to one-row batches, not a stall.
+        let mut z = batcher(0);
+        assert_eq!(z.push(9), Some(vec![9]));
     }
 
     #[test]

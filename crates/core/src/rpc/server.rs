@@ -9,7 +9,11 @@
 //! on a small configurable worker pool ([`ServerConfig::workers`]) so a
 //! slow operation never blocks the poll loop, and `Infer` rows from
 //! *different* sessions are coalesced into one batched forward call
-//! (cross-session dynamic batching, [`ServerConfig::batch`]).
+//! (cross-session dynamic batching, [`ServerConfig::batch`]). The
+//! coalescer has no timer: [`crate::online::Batcher`] owns the
+//! work-conserving rule (a row waits only behind a batch that is actually
+//! running) and the event loop only moves batches between it and the
+//! work queue.
 //!
 //! The session cap is a real concurrency cap, not a thread cap: the
 //! default [`ServerConfig::max_sessions`] admits thousands of idle
@@ -20,7 +24,7 @@
 use crate::checknrun::ModelDelta;
 use crate::ftdmp::schedule::slice_bounds;
 use crate::npe::engine::EngineConfig;
-use crate::online::BatchPolicy;
+use crate::online::{BatchPolicy, Batcher};
 use crate::pipestore::PipeStore;
 use crate::rpc::sys::{poll_fds, PollFd, WakePipe, POLLIN, POLLOUT};
 use crate::rpc::wire::{
@@ -57,8 +61,8 @@ const WORK_QUEUE_CAP: usize = 1024;
 /// Bounded depth of the worker-pool → event-thread reply queue.
 const DONE_QUEUE_CAP: usize = 4096;
 
-/// Poll timeout when nothing is due: the loop also re-checks the stop
-/// flag and the idle sweep at this cadence.
+/// The event loop's one poll timeout: the cadence at which it re-checks
+/// the stop flag and the idle sweep when no descriptor is ready.
 const IDLE_TICK: Duration = Duration::from_millis(10);
 
 /// Read buffer per readable event; large enough to swallow a batch of
@@ -82,9 +86,11 @@ pub struct ServerConfig {
     /// forward call. When `false` every `Infer` runs as its own
     /// single-row forward (the per-session baseline).
     pub coalesce: bool,
-    /// Batch window for cross-session coalescing: fire on
-    /// [`BatchPolicy::max_batch`] rows or [`BatchPolicy::max_delay`],
-    /// whichever comes first.
+    /// Cross-session coalescing policy: pending rows fire at the end of
+    /// a sweep that finds no batch in flight (the batch they waited
+    /// behind has completed, or there was none), or as soon as
+    /// [`BatchPolicy::max_batch`] rows are pending, whichever comes first
+    /// (see [`crate::online::Batcher`]).
     pub batch: BatchPolicy,
 }
 
@@ -434,13 +440,16 @@ enum Work {
 
 /// A finished reply heading back to the event thread; `(slot, gen)`
 /// route it, `seq` orders it within the session, `end` closes the
-/// session after this reply flushes.
+/// session after this reply flushes, `batch_end` marks the last reply of
+/// a coalesced batch (the batcher's "no longer in flight" signal, which
+/// counts whether or not the session is still there to take the reply).
 struct Done {
     slot: usize,
     gen: u64,
     seq: u64,
     frame: Vec<u8>,
     end: bool,
+    batch_end: bool,
 }
 
 /// An encoded reply waiting in the reorder buffer for its turn on the
@@ -623,8 +632,9 @@ impl PipeStoreServer {
             next_gen: 0,
             live: 0,
             busy: 0,
-            pend_batch: Vec::new(),
-            batch_since: None,
+            batcher: Batcher::new(cfg.batch),
+            fds: Vec::new(),
+            slots: Vec::new(),
             detached: None,
             stash: Vec::new(),
             scratch: vec![0u8; READ_CHUNK],
@@ -757,10 +767,13 @@ struct EventLoop {
     /// Sessions with at least one request in flight; exported as the
     /// `ndpipe_rpc_pending_sessions` gauge.
     busy: usize,
-    /// Cross-session `Infer` rows waiting for the batch window.
-    pend_batch: Vec<BatchItem>,
-    /// When the oldest pending row arrived (the max-delay clock).
-    batch_since: Option<Instant>,
+    /// Cross-session `Infer` rows not yet on a worker, and the count of
+    /// coalesced batches that are; it alone decides when a batch fires.
+    batcher: Batcher<BatchItem>,
+    /// The poll set and the session slot behind each of its entries,
+    /// rebuilt in place every iteration.
+    fds: Vec<PollFd>,
+    slots: Vec<usize>,
     /// Set while a session is temporarily out of the slab in
     /// `drive_read`; its finished replies land in `stash` instead of
     /// being dropped by the slot lookup.
@@ -781,13 +794,6 @@ impl EventLoop {
             let stopping = self.shared.stop.load(Ordering::Acquire);
             if stopping {
                 self.listener = None;
-            }
-            if let Some(t0) = self.batch_since {
-                if stopping || t0.elapsed() >= self.shared.cfg.batch.max_delay {
-                    self.fire_batch();
-                }
-            }
-            if stopping {
                 // Refused sessions only linger to avoid an RST racing
                 // their Reject; on shutdown, flushed ones go now.
                 for slot in 0..self.sessions.len() {
@@ -806,16 +812,17 @@ impl EventLoop {
 
             // Build the poll set: wake pipe, listener, then one entry
             // per session that wants readability or has bytes to flush.
-            let mut fds = vec![self.wake.poll_fd()];
+            self.fds.clear();
+            self.slots.clear();
+            self.fds.push(self.wake.poll_fd());
             let lidx = match &self.listener {
                 Some(l) => {
-                    fds.push(PollFd::new(l.as_raw_fd(), POLLIN));
-                    Some(fds.len() - 1)
+                    self.fds.push(PollFd::new(l.as_raw_fd(), POLLIN));
+                    Some(self.fds.len() - 1)
                 }
                 None => None,
             };
-            let base = fds.len();
-            let mut slots: Vec<usize> = Vec::new();
+            let base = self.fds.len();
             for (i, entry) in self.sessions.iter().enumerate() {
                 let Some(s) = entry else { continue };
                 let mut ev = 0i16;
@@ -828,33 +835,28 @@ impl EventLoop {
                 if ev == 0 {
                     continue; // waiting only on the worker pool
                 }
-                fds.push(PollFd::new(s.stream.as_raw_fd(), ev));
-                slots.push(i);
+                self.fds.push(PollFd::new(s.stream.as_raw_fd(), ev));
+                self.slots.push(i);
             }
-            let timeout = if self.batch_since.is_some() {
-                // The sub-millisecond batch window rounds up to poll's
-                // millisecond granularity.
-                Duration::from_millis(1)
-            } else {
-                IDLE_TICK
-            };
-            if poll_fds(&mut fds, timeout.as_millis() as i32).is_err() {
+            if poll_fds(&mut self.fds, IDLE_TICK.as_millis() as i32).is_err() {
                 // ndlint: allow(event_zone, reason = "1ms backoff on a failed poll(2) is the bounded retry path, not request-path blocking")
                 std::thread::sleep(Duration::from_millis(1));
                 continue;
             }
 
-            if fds.first().is_some_and(|f| f.readable()) {
+            if self.fds.first().is_some_and(|f| f.readable()) {
                 self.wake.drain();
             }
             self.drain_done();
             if let Some(i) = lidx {
-                if fds.get(i).is_some_and(|f| f.readable()) {
+                if self.fds.get(i).is_some_and(|f| f.readable()) {
                     self.accept_new();
                 }
             }
-            for (k, slot) in slots.iter().copied().enumerate() {
-                let Some(pf) = fds.get(base + k).copied() else {
+            for k in 0..self.slots.len() {
+                let (Some(slot), Some(pf)) =
+                    (self.slots.get(k).copied(), self.fds.get(base + k).copied())
+                else {
                     continue;
                 };
                 if pf.readable() {
@@ -868,6 +870,11 @@ impl EventLoop {
                 }
             }
             self.sweep_idle();
+            // Work conservation: rows still pending go to a worker now
+            // unless a batch is running for them to wait behind — the
+            // `Done`s of one that finished woke this very sweep.
+            let idle_rows = self.batcher.sweep_end();
+            self.fire(idle_rows);
         }
     }
 
@@ -1127,19 +1134,14 @@ impl EventLoop {
                     self.update_pending_gauge();
                 }
                 s.inflight += 1;
-                self.pend_batch.push(BatchItem {
+                let full = self.batcher.push(BatchItem {
                     slot,
                     gen: s.gen,
                     seq,
                     t0: Instant::now(),
                     features,
                 });
-                if self.batch_since.is_none() {
-                    self.batch_since = Some(Instant::now());
-                }
-                if self.pend_batch.len() >= self.shared.cfg.batch.max_batch.max(1) {
-                    self.fire_batch();
-                }
+                self.fire(full);
             }
             other => {
                 let seq = s.next_seq;
@@ -1175,14 +1177,12 @@ impl EventLoop {
         flush_order(s, &self.shared.registry);
     }
 
-    /// Ships the pending cross-session batch to the worker pool.
-    fn fire_batch(&mut self) {
-        self.batch_since = None;
-        if self.pend_batch.is_empty() {
-            return;
+    /// Ships a batch the batcher released (if it released one) to the
+    /// worker pool.
+    fn fire(&mut self, batch: Option<Vec<BatchItem>>) {
+        if let Some(items) = batch {
+            self.send_work(Work::Batch(items));
         }
-        let items = std::mem::take(&mut self.pend_batch);
-        self.send_work(Work::Batch(items));
     }
 
     /// Enqueues work, draining finished replies while the queue is full
@@ -1206,8 +1206,15 @@ impl EventLoop {
         }
     }
 
+    /// Books every finished reply. The batcher hears about a completed
+    /// batch *before* any routing decision — a batch whose every session
+    /// has died must still stop counting as in flight — and what
+    /// coalesced behind it fires at the end of the sweep this runs in.
     fn drain_done(&mut self) {
         while let Ok(d) = self.done_rx.try_recv() {
+            if d.batch_end {
+                self.batcher.batch_done();
+            }
             self.complete(d);
         }
     }
@@ -1454,6 +1461,7 @@ fn worker_main(shared: &Arc<Shared>, work: &Receiver<Work>, done: &Sender<Done>,
                         seq,
                         frame,
                         end,
+                        batch_end: false,
                     })
                     .is_err()
                 {
@@ -1463,7 +1471,11 @@ fn worker_main(shared: &Arc<Shared>, work: &Receiver<Work>, done: &Sender<Done>,
                 wake.wake();
             }
             Work::Batch(items) => {
-                for d in exec_batch(shared, items) {
+                let mut dones = exec_batch(shared, items);
+                if let Some(last) = dones.last_mut() {
+                    last.batch_end = true;
+                }
+                for d in dones {
                     if done.send(d).is_err() {
                         return;
                     }
@@ -1493,6 +1505,7 @@ fn exec_batch(shared: &Arc<Shared>, items: Vec<BatchItem>) -> Vec<Done> {
                 seq: it.seq,
                 frame: reply_frame(&Reply::Error("no model installed".to_string())),
                 end: false,
+                batch_end: false,
             })
             .collect();
     };
@@ -1562,6 +1575,7 @@ fn exec_batch(shared: &Arc<Shared>, items: Vec<BatchItem>) -> Vec<Done> {
                 seq: it.seq,
                 frame: reply_frame(&reply),
                 end: false,
+                batch_end: false,
             }
         })
         .collect()

@@ -312,3 +312,61 @@ mod model_blob_props {
         }
     }
 }
+
+mod batcher_props {
+    use super::*;
+    use ndpipe::online::{BatchPolicy, Batcher};
+
+    proptest! {
+        /// The front door's coalescing rule under arbitrary push /
+        /// sweep_end / batch_done sequences: every item leaves exactly
+        /// once and in arrival order, no batch exceeds `max_batch`, and
+        /// the rule is work-conserving — after any sweep_end (one follows
+        /// every batch_done), pending items imply a batch in flight — so
+        /// a drained batcher always ends with nothing in flight.
+        #[test]
+        fn batcher_is_work_conserving_and_loses_nothing(
+            ops in prop::collection::vec(0u8..4, 0..200),
+            max_batch in 1usize..6,
+        ) {
+            let mut b = Batcher::new(BatchPolicy { max_batch });
+            let mut pushed = 0u32;
+            let mut emitted: Vec<u32> = Vec::new();
+            let mut outstanding = 0usize;
+            let mut book = |batch: Option<Vec<u32>>, outstanding: &mut usize| {
+                if let Some(items) = batch {
+                    assert!(!items.is_empty() && items.len() <= max_batch, "batch of {}", items.len());
+                    emitted.extend(items);
+                    *outstanding += 1;
+                }
+            };
+            // The op stream, then a drain: finish every batch still out.
+            let drain = std::iter::repeat_n(3u8, ops.len() + 1);
+            for op in ops.iter().copied().chain(drain) {
+                let fired = match op {
+                    0 | 1 => {
+                        pushed += 1;
+                        b.push(pushed - 1)
+                    }
+                    // One batch_done per batch handed out, never more —
+                    // and, as in the event loop, a completion is always
+                    // followed by the end of the sweep it woke.
+                    3 if outstanding > 0 => {
+                        outstanding -= 1;
+                        b.batch_done();
+                        b.sweep_end()
+                    }
+                    _ => b.sweep_end(),
+                };
+                book(fired, &mut outstanding);
+                if op >= 2 {
+                    prop_assert!(b.pending() == 0 || b.in_flight() > 0, "rows stranded with nothing in flight");
+                }
+                prop_assert_eq!(b.in_flight(), outstanding);
+                prop_assert!(b.pending() < max_batch, "pending reached max_batch without firing");
+            }
+            prop_assert_eq!(emitted, (0..pushed).collect::<Vec<u32>>());
+            prop_assert_eq!((b.pending(), b.in_flight()), (0, 0));
+        }
+    }
+}

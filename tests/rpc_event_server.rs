@@ -1,7 +1,8 @@
 //! The event-driven RPC front door under concurrency: session-slot
 //! reaping on abort, client-side request pipelining, malformed-frame
-//! handling, and an (ignored-by-default) thousand-session soak that
-//! `scripts/check.sh` runs explicitly.
+//! handling, the work-conserving `Infer` batcher over real sockets, and
+//! an (ignored-by-default) thousand-session soak that `scripts/check.sh`
+//! runs explicitly.
 
 use dnn::Mlp;
 use ndpipe::rpc::server::{PipeStoreServer, ServerConfig};
@@ -17,7 +18,7 @@ use rand::SeedableRng;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tensor::Tensor;
 
 fn dataset(rng: &mut StdRng, classes: usize, per_class: usize) -> LabeledDataset {
@@ -177,6 +178,135 @@ fn malformed_request_body_gets_structured_error_and_session_survives() {
         .expect("malformed body must not poison shutdown");
 }
 
+/// `(count, sum)` of the `ndpipe_rpc_batch_size` histogram and the
+/// `ndpipe_online_coalesced_total` counter (0 when never touched).
+fn batch_metrics(snap: &telemetry::Snapshot) -> (u64, f64, u64) {
+    let (count, sum) = match snap.find("ndpipe_rpc_batch_size").map(|s| &s.value) {
+        Some(telemetry::SampleValue::Histogram(h)) => (h.count, h.sum),
+        _ => (0, 0.0),
+    };
+    let coalesced = match snap.find("ndpipe_online_coalesced_total").map(|s| &s.value) {
+        Some(telemetry::SampleValue::Counter(c)) => *c,
+        _ => 0,
+    };
+    (count, sum, coalesced)
+}
+
+/// No batch window: a row that arrives at an idle server is on a worker
+/// in the same sweep, so 200 sequential blocking round trips cost 200
+/// forwards — not 200 `poll(2)` ticks, which is the least the old timed
+/// window could charge (≥ 200 ms). Coalescing is not lost with it: rows
+/// that arrive together still leave together.
+#[test]
+fn idle_server_fires_at_once_and_a_pipelined_wave_still_coalesces() {
+    const LONE: usize = 200;
+    let mut rng = StdRng::seed_from_u64(605);
+    let server = bind_server(&mut rng);
+    let model = Mlp::new(&[16, 24, 4], 1, &mut rng);
+    let mut client = RemotePipeStore::connect(server.local_addr()).expect("connect");
+    client.install_model(&model).expect("install");
+
+    let (rows, expected) = rows_and_expected(&model, &mut rng, LONE);
+    let t0 = Instant::now();
+    for (row, want) in rows.iter().zip(&expected) {
+        assert_eq!(client.infer(row).expect("lone infer"), *want);
+    }
+    let took = t0.elapsed();
+    // A round trip here is under 100 µs even in a debug build (≈ 15 ms
+    // for the lot); a timed window cannot beat one poll tick per row
+    // (200 ms). The bar sits between them, with room for a noisy host.
+    assert!(
+        took < Duration::from_millis(LONE as u64 * 3 / 4),
+        "{LONE} lone infers took {took:?}: rows are waiting on a clock"
+    );
+
+    assert_eq!(
+        batch_metrics(&client.scrape().expect("scrape")),
+        (LONE as u64, LONE as f64, 0),
+        "expected exactly {LONE} one-row batches"
+    );
+
+    // One 8-row wave coalesces: it normally reaches the server in one
+    // read and leaves in one batch; a split read may send its head
+    // ahead (alone, if it is one row) and the rest behind it.
+    let wave = client.infer_pipelined(&rows[..8], 8).expect("wave");
+    assert_eq!(wave, expected[..8]);
+
+    client.shutdown().expect("end session");
+    let store = server.shutdown().expect("clean server stop");
+    let (batches, batched_rows, coalesced) = batch_metrics(&store.metrics().snapshot());
+    assert_eq!(batched_rows, LONE as f64 + 8.0);
+    assert!(
+        batches <= LONE as u64 + 2 && coalesced >= 7,
+        "the wave did not coalesce: {} batches, {coalesced} coalesced rows",
+        batches - LONE as u64
+    );
+}
+
+/// A batch whose session died before its replies came back must still
+/// release the batcher: the in-flight count comes back on every path a
+/// finished reply can take, or the next lone row waits for company that
+/// may never come.
+#[test]
+fn a_dead_sessions_batch_does_not_strand_the_next_row() {
+    let mut rng = StdRng::seed_from_u64(606);
+    let server = bind_server(&mut rng);
+    let addr = server.local_addr();
+    let model = Mlp::new(&[16, 24, 4], 1, &mut rng);
+    let mut b = RemotePipeStore::connect(addr).expect("connect b");
+    b.install_model(&model).expect("install");
+    let (rows, expected) = rows_and_expected(&model, &mut rng, 9);
+
+    for _ in 0..20 {
+        // Session A: eight rows on the wire, gone before any reply.
+        let mut a = TcpStream::connect(addr).expect("connect a");
+        write_handshake(
+            &mut a,
+            &Handshake::Hello {
+                version: PROTOCOL_VERSION,
+                features: 0,
+            },
+        )
+        .expect("hello");
+        read_handshake(&mut a).expect("greeting");
+        let mut wave = Vec::new();
+        for row in &rows[..8] {
+            write_request(
+                &mut wave,
+                &Request::Infer {
+                    features: row.clone(),
+                },
+            )
+            .expect("encode");
+        }
+        a.write_all(&wave).expect("send wave");
+        drop(a);
+
+        // Session B's lone row must come back promptly — a watchdog, not
+        // the 30 s idle timeout, decides what "stranded" means.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let row = rows[8].clone();
+        let worker = std::thread::spawn(move || {
+            let label = b.infer(&row);
+            let _ = tx.send(());
+            (b, label)
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("lone infer stranded behind a dead session's batch");
+        let (back, label) = worker.join().expect("infer thread");
+        assert_eq!(label.expect("lone infer"), expected[8]);
+        b = back;
+    }
+
+    b.shutdown().expect("end session");
+    // A hanging up on unread replies may be reported as the first
+    // session error (a reset); anything else is a server fault.
+    match server.shutdown() {
+        Ok(_) | Err(ndpipe::rpc::RpcError::Io(_)) => {}
+        Err(e) => panic!("server fault after dead sessions: {e}"),
+    }
+}
+
 /// The ISSUE's soak gate: ≥1000 concurrent sessions on the DEFAULT
 /// config, every reply accounted for, p99 asserted from the telemetry
 /// histogram. Ignored by default (it's a load test); `scripts/check.sh`
@@ -271,6 +401,14 @@ fn soak_holds_a_thousand_concurrent_sessions() {
         }
         ref other => panic!("expected histogram, got {}", other.kind()),
     }
+    // The batcher is work-conserving, not batch-averse: with a thousand
+    // sessions pipelining, rows do coalesce.
+    let (batches, batched_rows, _) = batch_metrics(&snap);
+    assert_eq!(batched_rows, (THREADS * CONNS * INFERS) as f64);
+    assert!(
+        batched_rows / batches as f64 > 1.0,
+        "soak never coalesced: {batches} batches for {batched_rows} rows"
+    );
     // Under `--cfg ndpipe_sanitize` every send samples queue depth and
     // every instrumented acquisition checks lock order; the soak passing
     // means zero violations. Confirm the witnesses ran and that the
