@@ -6,16 +6,17 @@
 //! emits `(label, preprocessed binary)` so the storage tier never
 //! preprocesses anything itself.
 //!
-//! The same module owns the batching *decision* of the networked path:
-//! [`Batcher`] is the work-conserving rule the RPC front door
-//! ([`crate::rpc::server`]) uses to coalesce `Infer` rows across sessions,
-//! kept here as a pure type so it is tested without sockets.
+//! The same module owns the batching *decision*: [`Batcher`] is the
+//! work-conserving rule both this server and the RPC front door
+//! ([`crate::rpc::server`], which coalesces `Infer` rows across sessions)
+//! fire batches by, kept here as a pure type so it is tested without
+//! sockets.
 
 use dnn::Mlp;
 use ndpipe_data::photo::preprocessed_binary;
 use ndpipe_data::Photo;
 use rand::Rng;
-use tensor::Tensor;
+use tensor::{argmax_of, Tensor};
 
 /// One pending upload: the photo, its decoded feature vector, and where
 /// the result should go (the caller keeps the ticket index).
@@ -58,22 +59,6 @@ impl OnlineStats {
     }
 }
 
-/// The one knob of the RPC front door's cross-session `Infer` coalescer
-/// ([`Batcher`]): the largest batch it hands to a worker. There is no
-/// delay knob — a row never waits on a clock, only behind a batch that is
-/// actually running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Fire as soon as this many rows are pending, whatever is in flight.
-    pub max_batch: usize,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        Self { max_batch: 32 }
-    }
-}
-
 /// The decision "when does a pending batch fire", as a pure
 /// single-threaded state machine (no clock, no sockets, no threads). The
 /// rule is work-conserving, PipeDream's 1F1B condition applied to a
@@ -85,12 +70,14 @@ impl Default for BatchPolicy {
 /// | a batch in flight | coalesces behind it and fires at the first sweep end after it completes ([`Batcher::batch_done`]) |
 /// | `max_batch` pending | fires at once, whatever is in flight ([`Batcher::push`]) |
 ///
-/// So batches grow exactly when the consumer is the bottleneck and
-/// collapse to "run it now" when it is not. Pending never exceeds
-/// `max_batch`. Every batch a method returns counts as in flight until
-/// the caller reports it with one [`Batcher::batch_done`]; after any
-/// `sweep_end`, pending items imply a batch in flight, so nothing can
-/// strand as long as every completion is followed by a sweep.
+/// There is no delay knob — an item never waits on a clock, only behind a
+/// batch that is actually running. So batches grow exactly when the
+/// consumer is the bottleneck and collapse to "run it now" when it is
+/// not. Pending never exceeds `max_batch`. Every batch a method returns
+/// counts as in flight until the caller reports it with one
+/// [`Batcher::batch_done`]; after any `sweep_end`, pending items imply a
+/// batch in flight, so nothing can strand as long as every completion is
+/// followed by a sweep.
 #[derive(Debug)]
 pub struct Batcher<T> {
     max_batch: usize,
@@ -99,10 +86,11 @@ pub struct Batcher<T> {
 }
 
 impl<T> Batcher<T> {
-    /// An empty batcher; a `max_batch` of zero is treated as one.
-    pub fn new(policy: BatchPolicy) -> Self {
+    /// An empty batcher that fires at once when `max_batch` items are
+    /// pending; a `max_batch` of zero is treated as one.
+    pub fn new(max_batch: usize) -> Self {
         Batcher {
-            max_batch: policy.max_batch.max(1),
+            max_batch: max_batch.max(1),
             pending: Vec::new(),
             in_flight: 0,
         }
@@ -156,15 +144,15 @@ impl<T> Batcher<T> {
     }
 }
 
-/// An inference server with dynamic batching: requests queue until
-/// `batch_size` accumulate (or [`OnlineInferenceServer::flush`] forces a
-/// partial batch), then one forward pass serves them all.
+/// An inference server with dynamic batching: requests queue in a
+/// [`Batcher`] until `batch_size` accumulate (or
+/// [`OnlineInferenceServer::flush`] ends the sweep and sends the partial
+/// batch), then one forward pass serves them all.
 #[derive(Debug)]
 pub struct OnlineInferenceServer {
     model: Mlp,
-    batch_size: usize,
     preproc_bytes: usize,
-    queue: Vec<Pending>,
+    batcher: Batcher<Pending>,
     stats: OnlineStats,
 }
 
@@ -179,9 +167,8 @@ impl OnlineInferenceServer {
         assert!(preproc_bytes > 0, "preprocessed size must be positive");
         OnlineInferenceServer {
             model,
-            batch_size,
             preproc_bytes,
-            queue: Vec::new(),
+            batcher: Batcher::new(batch_size),
             stats: OnlineStats::default(),
         }
     }
@@ -203,7 +190,7 @@ impl OnlineInferenceServer {
 
     /// Requests waiting for a batch.
     pub fn queued(&self) -> usize {
-        self.queue.len()
+        self.batcher.pending()
     }
 
     /// Throughput counters.
@@ -229,30 +216,33 @@ impl OnlineInferenceServer {
             self.model.input_dim(),
             "feature width mismatch"
         );
-        self.queue.push(Pending {
+        let full = self.batcher.push(Pending {
             photo,
             features,
             enqueued: std::time::Instant::now(),
         });
-        if self.queue.len() >= self.batch_size {
-            self.run_batch(rng)
-        } else {
-            Vec::new()
-        }
+        self.run_batch(full, rng)
     }
 
     /// Forces the pending partial batch through (e.g. on a latency
     /// deadline). Returns completed results.
     pub fn flush<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<OnlineResult> {
-        if self.queue.is_empty() {
-            Vec::new()
-        } else {
-            self.run_batch(rng)
-        }
+        let idle = self.batcher.sweep_end();
+        self.run_batch(idle, rng)
     }
 
-    fn run_batch<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<OnlineResult> {
-        let pending: Vec<Pending> = self.queue.drain(..).collect();
+    /// Serves the batch the batcher released, if it released one. The
+    /// forward is synchronous, so the batch is reported done before this
+    /// returns: nothing is ever in flight between calls, and `flush`'s
+    /// `sweep_end` always fires.
+    fn run_batch<R: Rng + ?Sized>(
+        &mut self,
+        batch: Option<Vec<Pending>>,
+        rng: &mut R,
+    ) -> Vec<OnlineResult> {
+        let Some(pending) = batch else {
+            return Vec::new();
+        };
         if telemetry::enabled() {
             let g = telemetry::global();
             let wait = g.histogram(
@@ -276,26 +266,18 @@ impl OnlineInferenceServer {
         let rows: Vec<Tensor> = pending.iter().map(|p| p.features.clone()).collect();
         let batch = Tensor::stack_rows(&rows);
         let logits = self.model.forward(&batch);
+        self.batcher.batch_done();
         let cols = logits.dims()[1];
         self.stats.batches += 1;
         self.stats.processed += pending.len() as u64;
         pending
             .into_iter()
-            .enumerate()
-            .map(|(r, p)| {
-                let row = &logits.data()[r * cols..(r + 1) * cols];
-                let mut label = 0;
-                for (c, &v) in row.iter().enumerate() {
-                    if v > row[label] {
-                        label = c;
-                    }
-                }
-                OnlineResult {
-                    photo: p.photo,
-                    label,
-                    // The §5.4 offload: preprocessing happens here, once.
-                    preprocessed: preprocessed_binary(self.preproc_bytes, rng),
-                }
+            .zip(logits.data().chunks(cols))
+            .map(|(p, row)| OnlineResult {
+                photo: p.photo,
+                label: argmax_of(row),
+                // The §5.4 offload: preprocessing happens here, once.
+                preprocessed: preprocessed_binary(self.preproc_bytes, rng),
             })
             .collect()
     }
@@ -392,7 +374,7 @@ mod tests {
     }
 
     fn batcher(max_batch: usize) -> Batcher<u32> {
-        Batcher::new(BatchPolicy { max_batch })
+        Batcher::new(max_batch)
     }
 
     #[test]

@@ -160,22 +160,6 @@ pub enum ClusterError {
     },
 }
 
-impl ClusterError {
-    /// Collapses to a single [`RpcError`] (the first peer failure, when
-    /// there is one) for callers on the old free-function API.
-    pub fn into_rpc(self) -> RpcError {
-        match self {
-            ClusterError::NoPeers => RpcError::Protocol("cluster has no peers"),
-            ClusterError::Config(msg) => RpcError::Protocol(msg),
-            ClusterError::Ftdmp(_) => RpcError::Protocol("invalid FT-DMP job"),
-            ClusterError::Rejected { failures, .. } => match failures.into_iter().next() {
-                Some(f) => f.error,
-                None => RpcError::Protocol("failure policy rejected the round"),
-            },
-        }
-    }
-}
-
 impl std::fmt::Display for ClusterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -1661,29 +1645,5 @@ mod tests {
         let fan = cluster.shutdown();
         // Nothing to end on a detached peer; shutdown is clean.
         assert!(fan.failures.is_empty());
-    }
-
-    #[test]
-    fn cluster_error_collapses_to_first_rpc_error() {
-        let e = ClusterError::Rejected {
-            policy: FailurePolicy::Strict,
-            ok: 1,
-            failures: vec![PeerFailure {
-                index: 2,
-                peer: "10.0.0.3:7401".into(),
-                op: "metrics",
-                attempts: 2,
-                error: RpcError::PeerUnavailable {
-                    peer: "10.0.0.3:7401".into(),
-                    attempts: 2,
-                    source: None,
-                },
-            }],
-        };
-        assert!(matches!(e.into_rpc(), RpcError::PeerUnavailable { .. }));
-        assert!(matches!(
-            ClusterError::NoPeers.into_rpc(),
-            RpcError::Protocol(_)
-        ));
     }
 }

@@ -7,29 +7,28 @@
 //! session may have many requests in flight, and replies flush back in
 //! request order through a per-session reorder buffer. Store work runs
 //! on a small configurable worker pool ([`ServerConfig::workers`]) so a
-//! slow operation never blocks the poll loop, and `Infer` rows from
-//! *different* sessions are coalesced into one batched forward call
-//! (cross-session dynamic batching, [`ServerConfig::batch`]). The
-//! coalescer has no timer: [`crate::online::Batcher`] owns the
-//! work-conserving rule (a row waits only behind a batch that is actually
-//! running) and the event loop only moves batches between it and the
-//! work queue.
+//! slow operation never blocks the poll loop, and every `Infer` row goes
+//! through one cross-session batcher: rows from *different* sessions are
+//! coalesced into one batched forward call (cross-session dynamic
+//! batching). The batcher has no timer: [`crate::online::Batcher`] owns
+//! the work-conserving rule (a row waits only behind a batch that is
+//! actually running) and the event loop only moves batches between it
+//! and the work queue.
 //!
 //! The session cap is a real concurrency cap, not a thread cap: the
 //! default [`ServerConfig::max_sessions`] admits thousands of idle
 //! sessions because each one costs a slab slot and two buffers, not a
-//! stack. [`serve_session`] remains as the blocking, single-session,
-//! post-handshake building block.
+//! stack.
 
 use crate::checknrun::ModelDelta;
 use crate::ftdmp::schedule::slice_bounds;
 use crate::npe::engine::EngineConfig;
-use crate::online::{BatchPolicy, Batcher};
+use crate::online::Batcher;
 use crate::pipestore::PipeStore;
 use crate::rpc::sys::{poll_fds, PollFd, WakePipe, POLLIN, POLLOUT};
 use crate::rpc::wire::{
-    frame_bytes, read_request, write_reply, FrameDecoder, Handshake, Reply, Request, ShardDesc,
-    FEATURE_DELTAS, FEATURE_METRICS, FEATURE_MULTI_SESSION, PROTOCOL_VERSION,
+    frame_bytes, FrameDecoder, Handshake, Reply, Request, ShardDesc, FEATURE_DELTAS,
+    FEATURE_METRICS, FEATURE_MULTI_SESSION, PROTOCOL_VERSION,
 };
 use crate::rpc::RpcError;
 use crossbeam::channel::{Receiver, Sender, TrySendError};
@@ -37,14 +36,14 @@ use dnn::Mlp;
 use ndpipe_data::PhotoId;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tensor::Tensor;
+use tensor::{argmax_of, Tensor};
 
 /// Default idle timeout on accepted sessions: a stuck or vanished peer
 /// releases its slot instead of pinning it forever.
@@ -57,6 +56,10 @@ pub const SERVER_FEATURES: u64 = FEATURE_METRICS | FEATURE_DELTAS | FEATURE_MULT
 /// event thread drains finished replies while waiting for space, so a
 /// full queue is backpressure, not a deadlock.
 const WORK_QUEUE_CAP: usize = 1024;
+
+/// The largest cross-session `Infer` batch: once this many rows are
+/// pending the batch fires, whatever is in flight.
+const MAX_BATCH: usize = 32;
 
 /// Bounded depth of the worker-pool → event-thread reply queue.
 const DONE_QUEUE_CAP: usize = 4096;
@@ -82,16 +85,6 @@ pub struct ServerConfig {
     pub io_timeout: Option<Duration>,
     /// Worker threads executing store operations off the event thread.
     pub workers: usize,
-    /// Coalesce `Infer` rows from different sessions into one batched
-    /// forward call. When `false` every `Infer` runs as its own
-    /// single-row forward (the per-session baseline).
-    pub coalesce: bool,
-    /// Cross-session coalescing policy: pending rows fire at the end of
-    /// a sweep that finds no batch in flight (the batch they waited
-    /// behind has completed, or there was none), or as soon as
-    /// [`BatchPolicy::max_batch`] rows are pending, whichever comes first
-    /// (see [`crate::online::Batcher`]).
-    pub batch: BatchPolicy,
 }
 
 impl Default for ServerConfig {
@@ -100,8 +93,6 @@ impl Default for ServerConfig {
             max_sessions: 4096,
             io_timeout: Some(SERVER_IO_TIMEOUT),
             workers: 2,
-            coalesce: true,
-            batch: BatchPolicy::default(),
         }
     }
 }
@@ -147,96 +138,12 @@ fn greet(hs: &Handshake, store_id: u64) -> Result<Greeting, RpcError> {
     }
 }
 
-/// The blocking post-handshake request loop, kept for the
-/// single-session [`serve_session`] building block (the concurrent
-/// server uses the event loop instead).
-fn session_loop<R: Read, W: Write>(
-    registry: &telemetry::Registry,
-    reader: &mut R,
-    writer: &mut W,
-    mut with_store: impl FnMut(Request) -> Option<Reply>,
-) -> Result<(), RpcError> {
-    loop {
-        let (request, bytes_in) = match read_request(reader) {
-            Ok(r) => r,
-            Err(RpcError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                return Ok(()); // peer hung up
-            }
-            Err(e) => return Err(e),
-        };
-        let op = request.op_name();
-        let record = telemetry::enabled();
-        let timer = if record {
-            registry
-                .counter_with(
-                    "ndpipe_rpc_server_requests_total",
-                    &[("op", op)],
-                    "requests handled by this store's RPC server",
-                )
-                .inc();
-            registry
-                .counter(
-                    "ndpipe_rpc_server_bytes_read_total",
-                    "request bytes read off the wire",
-                )
-                .add(bytes_in as u64);
-            Some(
-                registry
-                    .histogram_with(
-                        "ndpipe_rpc_server_op_seconds",
-                        &[("op", op)],
-                        "server-side handling latency per operation",
-                    )
-                    .start_timer(),
-            )
-        } else {
-            None
-        };
-        let reply = with_store(request);
-        let done = reply.is_none();
-        let bytes_out = write_reply(writer, &reply.unwrap_or(Reply::Ack))?;
-        if let Some(t) = timer {
-            t.observe_and_disarm();
-            registry
-                .counter(
-                    "ndpipe_rpc_server_bytes_written_total",
-                    "reply bytes put on the wire",
-                )
-                .add(bytes_out as u64);
-        }
-        if done {
-            return Ok(());
-        }
-    }
-}
-
-/// Serves one already-handshaken Tuner session over `stream`, blocking
-/// the calling thread. Applies [`SERVER_IO_TIMEOUT`] to the socket and
-/// records per-operation request counts, latencies and wire bytes into
-/// the store's [`PipeStore::metrics`] registry. Returns cleanly when the
-/// Tuner sends `Shutdown` or closes the connection.
-///
-/// # Errors
-///
-/// Socket/protocol errors (including a peer idle past the timeout).
-/// Application-level failures (e.g. applying a mismatched delta) are
-/// reported to the peer as `Error` replies and do not tear down the
-/// session.
-pub fn serve_session(store: &RwLock<PipeStore>, stream: TcpStream) -> Result<(), RpcError> {
-    stream.set_read_timeout(Some(SERVER_IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(SERVER_IO_TIMEOUT))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let registry = Arc::clone(store.read().metrics());
-    session_loop(&registry, &mut reader, &mut writer, |req| {
-        handle(store, req)
-    })
-}
-
 /// Handles one request; `None` means the session should end (after the
 /// final Ack). Read-mostly operations take the store's read lock so
 /// parallel workers can overlap; `InstallModel` and `ApplyDelta` take
-/// the write lock for exclusivity.
+/// the write lock for exclusivity. The event loop routes `Infer` to the
+/// batcher instead ([`exec_batch`]); its arm here labels the one row
+/// through the same [`infer_rows`].
 fn handle(store: &RwLock<PipeStore>, request: Request) -> Option<Reply> {
     // Sanitizer witness for the store lock each arm acquires; held for
     // the whole dispatch, which over-approximates the guard's extent in
@@ -291,7 +198,13 @@ fn handle(store: &RwLock<PipeStore>, request: Request) -> Option<Reply> {
                 kernel: tensor::linalg::selected_kernel(store.math_policy()),
             })
         }
-        Request::Infer { features } => infer_one(&store.read(), &features),
+        Request::Infer { features } => {
+            let model = store.read().model_snapshot();
+            match infer_rows(model.as_deref(), &[features.as_slice()]).pop() {
+                Some(reply) => reply,
+                None => Reply::Error("infer produced no reply".to_string()),
+            }
+        }
         Request::Metrics => Reply::Metrics(store.read().metrics().snapshot()),
         // ndlint: allow(blocking, reason = "this resolves to PipeStore::placement (clones the cached map); the widened chain through Client::placement is a different receiver type")
         Request::Placement => match store.read().placement() {
@@ -374,45 +287,44 @@ fn handle(store: &RwLock<PipeStore>, request: Request) -> Option<Reply> {
     })
 }
 
-/// Classifies one feature row against the store's published model
-/// snapshot (the un-coalesced path: blocking sessions, or
-/// [`ServerConfig::coalesce`] off).
-fn infer_one(store: &PipeStore, features: &[f32]) -> Reply {
-    match store.model_snapshot() {
-        Some(model) => classify_row(&model, features),
-        None => Reply::Error("no model installed".to_string()),
-    }
-}
-
-/// One single-row forward; dimension mismatches are application errors,
-/// not session faults.
-fn classify_row(model: &Mlp, features: &[f32]) -> Reply {
+/// The one way an `Infer` row becomes a label: a single `[n, dim]`
+/// forward over every row of the model's input width, then
+/// [`argmax_of`] per logits row — the rule `Tensor::argmax` uses, so a
+/// served label always equals the local forward's. One reply per row, in
+/// order; a row of the wrong width gets its own error without poisoning
+/// the rest, and with no model installed every row gets one.
+fn infer_rows(model: Option<&Mlp>, rows: &[&[f32]]) -> Vec<Reply> {
+    let Some(model) = model else {
+        return rows
+            .iter()
+            .map(|_| Reply::Error("no model installed".to_string()))
+            .collect();
+    };
     let dim = model.input_dim();
-    if features.len() != dim {
-        return Reply::Error(format!(
-            "bad feature dim: got {}, model wants {dim}",
-            features.len()
-        ));
+    let mut x: Vec<f32> = Vec::with_capacity(rows.len() * dim);
+    for r in rows.iter().filter(|r| r.len() == dim) {
+        x.extend_from_slice(r);
     }
-    let x = Tensor::from_vec(features.to_vec(), &[1, dim]);
-    Reply::Label(model.forward(&x).argmax() as u32)
-}
-
-/// Argmax of row `row` in a `[rows, classes]` logits tensor, without
-/// materializing per-row tensors.
-fn row_argmax(logits: &Tensor, row: usize) -> usize {
-    let classes = logits.dims().get(1).copied().unwrap_or(0).max(1);
-    let mut best = 0usize;
-    let mut best_v = f32::NEG_INFINITY;
-    let lo = row * classes;
-    let cells = logits.data().get(lo..lo + classes).unwrap_or(&[]);
-    for (j, v) in cells.iter().enumerate() {
-        if *v > best_v {
-            best_v = *v;
-            best = j;
-        }
-    }
-    best
+    let n = x.len() / dim.max(1);
+    let logits = (n > 0).then(|| model.forward(&Tensor::from_vec(x, &[n, dim])));
+    let mut labels = logits.iter().flat_map(|l| {
+        let classes = l.dims().get(1).copied().unwrap_or(1);
+        l.data().chunks(classes.max(1)).map(argmax_of)
+    });
+    rows.iter()
+        .map(|r| {
+            if r.len() != dim {
+                return Reply::Error(format!(
+                    "bad feature dim: got {}, model wants {dim}",
+                    r.len()
+                ));
+            }
+            match labels.next() {
+                Some(label) => Reply::Label(label as u32),
+                None => Reply::Error("batch row missing".to_string()),
+            }
+        })
+        .collect()
 }
 
 /// One pending `Infer` row in the cross-session batch.
@@ -632,7 +544,7 @@ impl PipeStoreServer {
             next_gen: 0,
             live: 0,
             busy: 0,
-            batcher: Batcher::new(cfg.batch),
+            batcher: Batcher::new(MAX_BATCH),
             fds: Vec::new(),
             slots: Vec::new(),
             detached: None,
@@ -1097,8 +1009,8 @@ impl EventLoop {
     }
 
     /// Routes one decoded request: `Shutdown` is answered inline,
-    /// `Infer` joins the cross-session batch (when coalescing), and
-    /// everything else goes to the worker pool.
+    /// `Infer` joins the cross-session batch, and everything else goes
+    /// to the worker pool.
     fn dispatch(&mut self, slot: usize, s: &mut Session, req: Request) {
         let op = req.op_name();
         if telemetry::enabled() {
@@ -1126,7 +1038,7 @@ impl EventLoop {
                 s.read_closed = true;
                 self.self_done(s, &Reply::Ack, true);
             }
-            Request::Infer { features } if self.shared.cfg.coalesce => {
+            req => {
                 let seq = s.next_seq;
                 s.next_seq += 1;
                 if s.inflight == 0 {
@@ -1134,30 +1046,26 @@ impl EventLoop {
                     self.update_pending_gauge();
                 }
                 s.inflight += 1;
-                let full = self.batcher.push(BatchItem {
-                    slot,
-                    gen: s.gen,
-                    seq,
-                    t0: Instant::now(),
-                    features,
-                });
-                self.fire(full);
-            }
-            other => {
-                let seq = s.next_seq;
-                s.next_seq += 1;
-                if s.inflight == 0 {
-                    self.busy += 1;
-                    self.update_pending_gauge();
+                let (gen, t0) = (s.gen, Instant::now());
+                match req {
+                    Request::Infer { features } => {
+                        let full = self.batcher.push(BatchItem {
+                            slot,
+                            gen,
+                            seq,
+                            t0,
+                            features,
+                        });
+                        self.fire(full);
+                    }
+                    req => self.send_work(Work::One {
+                        slot,
+                        gen,
+                        seq,
+                        t0,
+                        req,
+                    }),
                 }
-                s.inflight += 1;
-                self.send_work(Work::One {
-                    slot,
-                    gen: s.gen,
-                    seq,
-                    t0: Instant::now(),
-                    req: other,
-                });
             }
         }
     }
@@ -1487,48 +1395,16 @@ fn worker_main(shared: &Arc<Shared>, work: &Receiver<Work>, done: &Sender<Done>,
     }
 }
 
-/// Runs one coalesced cross-session inference batch: a single forward
-/// pass over every well-dimensioned row, demultiplexed back into one
-/// reply per originating session. Rows with the wrong width get a
-/// structured per-row error without poisoning the rest of the batch.
+/// Runs one coalesced cross-session inference batch through
+/// [`infer_rows`], demultiplexed back into one reply per originating
+/// session.
 fn exec_batch(shared: &Arc<Shared>, items: Vec<BatchItem>) -> Vec<Done> {
     let snapshot = {
         let _w = crate::sanitize::order(crate::sanitize::RANK_STORE, "store");
         shared.store.read().model_snapshot()
     };
-    let Some(model) = snapshot else {
-        return items
-            .into_iter()
-            .map(|it| Done {
-                slot: it.slot,
-                gen: it.gen,
-                seq: it.seq,
-                frame: reply_frame(&Reply::Error("no model installed".to_string())),
-                end: false,
-                batch_end: false,
-            })
-            .collect();
-    };
-    let dim = model.input_dim();
-    let mut rows: Vec<f32> = Vec::with_capacity(items.len() * dim);
-    let mut row_of: Vec<Option<usize>> = Vec::with_capacity(items.len());
-    let mut n = 0usize;
-    for it in &items {
-        if it.features.len() == dim {
-            row_of.push(Some(n));
-            rows.extend_from_slice(&it.features);
-            n += 1;
-        } else {
-            row_of.push(None);
-        }
-    }
-    let labels: Vec<u32> = if n > 0 {
-        let x = Tensor::from_vec(rows, &[n, dim]);
-        let logits = model.forward(&x);
-        (0..n).map(|r| row_argmax(&logits, r) as u32).collect()
-    } else {
-        Vec::new()
-    };
+    let rows: Vec<&[f32]> = items.iter().map(|it| it.features.as_slice()).collect();
+    let replies = infer_rows(snapshot.as_deref(), &rows);
     if telemetry::enabled() {
         shared
             .registry
@@ -1556,27 +1432,15 @@ fn exec_batch(shared: &Arc<Shared>, items: Vec<BatchItem>) -> Vec<Done> {
         }
     }
     items
-        .into_iter()
-        .zip(row_of)
-        .map(|(it, row)| {
-            let reply = match row {
-                Some(r) => match labels.get(r) {
-                    Some(l) => Reply::Label(*l),
-                    None => Reply::Error("batch row missing".to_string()),
-                },
-                None => Reply::Error(format!(
-                    "bad feature dim: got {}, model wants {dim}",
-                    it.features.len()
-                )),
-            };
-            Done {
-                slot: it.slot,
-                gen: it.gen,
-                seq: it.seq,
-                frame: reply_frame(&reply),
-                end: false,
-                batch_end: false,
-            }
+        .iter()
+        .zip(replies)
+        .map(|(it, reply)| Done {
+            slot: it.slot,
+            gen: it.gen,
+            seq: it.seq,
+            frame: reply_frame(&reply),
+            end: false,
+            batch_end: false,
         })
         .collect()
 }
@@ -1866,15 +1730,10 @@ mod tests {
         let rows: Vec<Vec<f32>> = (0..4)
             .map(|i| st.shard().features().row(i).data().to_vec())
             .collect();
+        let m = st.model_snapshot().expect("model installed");
         let expected: Vec<u32> = rows
             .iter()
-            .map(|r| {
-                let m = st.model_snapshot().expect("model installed");
-                match classify_row(&m, r) {
-                    Reply::Label(l) => l,
-                    other => panic!("unexpected {other:?}"),
-                }
-            })
+            .map(|r| m.forward(&Tensor::from_vec(r.clone(), &[1, 8])).argmax() as u32)
             .collect();
         let shared = shared_for(st);
         let mut items: Vec<BatchItem> = rows

@@ -15,6 +15,7 @@ use dnn::{EvalMetrics, Mlp, TrainConfig, Trainer};
 use ndpipe_data::photo::{preprocessed_binary, PhotoFactory};
 use ndpipe_data::{DatasetSpec, DriftScenario, LabeledDataset, PhotoId};
 use rand::Rng;
+use tensor::argmax_of;
 
 /// Deployment parameters of an [`NdPipeSystem`].
 #[derive(Debug, Clone)]
@@ -340,16 +341,9 @@ impl NdPipeSystem {
         for (store, idx) in self.stores.iter().zip(&self.assignments) {
             let model = store.model().expect("model installed at reshard");
             let logits = model.forward(store.shard().features());
-            let cols = logits.dims()[1];
-            for (row, &pool_i) in idx.iter().enumerate() {
-                let slice = &logits.data()[row * cols..(row + 1) * cols];
-                let mut best = 0;
-                for (c, &v) in slice.iter().enumerate() {
-                    if v > slice[best] {
-                        best = c;
-                    }
-                }
-                all.push((PhotoId(pool_i as u64), best));
+            let rows = logits.data().chunks(logits.dims()[1]);
+            for (row, &pool_i) in rows.zip(idx) {
+                all.push((PhotoId(pool_i as u64), argmax_of(row)));
             }
         }
         self.labeldb.apply_relabels(all, version)

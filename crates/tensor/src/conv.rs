@@ -1,7 +1,7 @@
 //! 2-D convolution (via im2col) and pooling over NCHW tensors.
 //!
 //! Convolution runs on the same packed GEMM kernel as
-//! [`linalg::matmul`]: the `[c_out, c_in*k*k]` weight matrix is packed
+//! [`linalg::Gemm`]: the `[c_out, c_in*k*k]` weight matrix is packed
 //! into micro-panels **once per call** (or once per layer via
 //! [`PackedConvWeight`] — the frozen-feature-extractor cache), each
 //! image's patches are lowered into a thread-local im2col buffer (no
@@ -24,7 +24,7 @@ use crate::{linalg, MathPolicy, Tensor};
 
 /// Work threshold (in multiply-adds) above which [`conv2d`] fans batch
 /// images across the worker pool — the same band pattern as
-/// [`linalg::matmul`], applied to the batch dimension. Below it,
+/// [`linalg::Gemm`], applied to the batch dimension. Below it,
 /// scheduling overhead dominates the kernel itself.
 const PAR_THRESHOLD: usize = 1 << 21;
 

@@ -51,9 +51,9 @@ pub mod tensor;
 
 pub use policy::{default_math_policy, set_default_math_policy, MathPolicy};
 pub use shape::Shape;
-pub use tensor::Tensor;
+pub use tensor::{argmax_of, Tensor};
 
-/// Thread budget for parallel kernels ([`linalg::matmul`],
+/// Thread budget for parallel kernels ([`linalg::Gemm`],
 /// [`conv::conv2d`]): the `NDPIPE_THREADS` environment variable when set
 /// (minimum 1), otherwise the machine's available parallelism.
 ///

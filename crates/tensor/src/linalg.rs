@@ -495,105 +495,6 @@ fn mat_view(t: &Tensor, trans: bool) -> MatRef<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Deprecated wrappers (one release of grace; use `Gemm`)
-// ---------------------------------------------------------------------------
-
-/// Matrix product `a @ b` for `a: [m, k]`, `b: [k, n]`.
-#[deprecated(note = "use Gemm::new(a, b).run()")]
-pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    Gemm::new(a, b).op_name("matmul").run()
-}
-
-/// [`matmul`] with an explicit thread budget.
-#[deprecated(note = "use Gemm::new(a, b).threads(threads).run()")]
-pub fn matmul_with_threads(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
-    Gemm::new(a, b).op_name("matmul").threads(threads).run()
-}
-
-/// Fallible [`matmul`].
-///
-/// # Errors
-///
-/// [`TensorError::ShapeMismatch`] or [`TensorError::WorkerPanicked`].
-#[deprecated(note = "use Gemm::new(a, b).try_run()")]
-pub fn try_matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    Gemm::new(a, b).op_name("matmul").try_run()
-}
-
-/// `aᵀ @ b` without materializing the transpose: `a: [k, m]`, `b: [k, n]`.
-#[deprecated(note = "use Gemm::new(a, b).transpose_a().run()")]
-pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
-    Gemm::new(a, b).transpose_a().op_name("matmul_tn").run()
-}
-
-/// [`matmul_tn`] with an explicit thread budget.
-#[deprecated(note = "use Gemm::new(a, b).transpose_a().threads(threads).run()")]
-pub fn matmul_tn_with_threads(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
-    Gemm::new(a, b)
-        .transpose_a()
-        .op_name("matmul_tn")
-        .threads(threads)
-        .run()
-}
-
-/// Fallible [`matmul_tn`].
-///
-/// # Errors
-///
-/// [`TensorError::ShapeMismatch`] or [`TensorError::WorkerPanicked`].
-#[deprecated(note = "use Gemm::new(a, b).transpose_a().try_run()")]
-pub fn try_matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    Gemm::new(a, b).transpose_a().op_name("matmul_tn").try_run()
-}
-
-/// `a @ bᵀ` without materializing the transpose: `a: [m, k]`, `b: [n, k]`.
-#[deprecated(note = "use Gemm::new(a, b).transpose_b().run()")]
-pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
-    Gemm::new(a, b).transpose_b().op_name("matmul_nt").run()
-}
-
-/// [`matmul_nt`] with an explicit thread budget.
-#[deprecated(note = "use Gemm::new(a, b).transpose_b().threads(threads).run()")]
-pub fn matmul_nt_with_threads(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
-    Gemm::new(a, b)
-        .transpose_b()
-        .op_name("matmul_nt")
-        .threads(threads)
-        .run()
-}
-
-/// Fallible [`matmul_nt`].
-///
-/// # Errors
-///
-/// [`TensorError::ShapeMismatch`] or [`TensorError::WorkerPanicked`].
-#[deprecated(note = "use Gemm::new(a, b).transpose_b().try_run()")]
-pub fn try_matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    Gemm::new(a, b).transpose_b().op_name("matmul_nt").try_run()
-}
-
-/// `pa @ b` with a prepacked left operand.
-#[deprecated(note = "use Gemm::prepacked_a(pa, b).run()")]
-pub fn matmul_packed_a(pa: &PackedA, b: &Tensor) -> Tensor {
-    Gemm::prepacked_a(pa, b).op_name("matmul_packed_a").run()
-}
-
-/// [`matmul_packed_a`] with an explicit thread budget.
-#[deprecated(note = "use Gemm::prepacked_a(pa, b).threads(threads).run()")]
-pub fn matmul_packed_a_with_threads(pa: &PackedA, b: &Tensor, threads: usize) -> Tensor {
-    Gemm::prepacked_a(pa, b)
-        .op_name("matmul_packed_a")
-        .threads(threads)
-        .run()
-}
-
-/// `a @ B` with a prepacked right operand.
-#[deprecated(note = "use Gemm::prepacked_b(a, pb).run()")]
-pub fn matmul_packed_b(a: &Tensor, pb: &PackedB) -> Tensor {
-    Gemm::prepacked_b(a, pb).op_name("matmul_packed_b").run()
-}
-
-// ---------------------------------------------------------------------------
 // Non-GEMM kernels
 // ---------------------------------------------------------------------------
 
@@ -1753,20 +1654,6 @@ mod tests {
             .try_run()
             .expect("valid shapes");
         assert_eq!(ok.dims(), &[2, 5]);
-    }
-
-    #[test]
-    fn deprecated_wrappers_still_work() {
-        #![allow(deprecated)]
-        let mut rng = StdRng::seed_from_u64(23);
-        let a = Tensor::randn(&[5, 7], &mut rng);
-        let b = Tensor::randn(&[7, 6], &mut rng);
-        assert_eq!(matmul(&a, &b), Gemm::new(&a, &b).run());
-        let bt = transpose(&b);
-        assert_eq!(matmul_nt(&a, &bt), Gemm::new(&a, &bt).transpose_b().run());
-        let at = transpose(&a);
-        assert_eq!(matmul_tn(&at, &b), Gemm::new(&at, &b).transpose_a().run());
-        assert!(try_matmul(&a, &a).is_err());
     }
 
     #[test]

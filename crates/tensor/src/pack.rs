@@ -231,7 +231,7 @@ impl PackedB {
 
     /// Packs the transpose of a row-major `[n, k]` matrix — i.e. packs
     /// `wᵀ` from a linear layer's `[out, in]` weight so `x @ wᵀ`
-    /// ([`crate::linalg::matmul_nt`]) can run prepacked.
+    /// (`Gemm::new(x, w).transpose_b()`) can run prepacked.
     ///
     /// # Panics
     ///

@@ -278,15 +278,10 @@ impl Tensor {
         self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
     }
 
-    /// Index of the maximum element in flattened order (first on ties).
+    /// Index of the maximum element in flattened order (first on ties);
+    /// see [`argmax_of`].
     pub fn argmax(&self) -> usize {
-        let mut best = 0;
-        for (i, &x) in self.data.iter().enumerate() {
-            if x > self.data[best] {
-                best = i;
-            }
-        }
-        best
+        argmax_of(&self.data)
     }
 
     /// Frobenius norm (L2 norm of the flattened data).
@@ -358,6 +353,20 @@ impl std::fmt::Display for Tensor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Tensor{} n={}", self.shape, self.len())
     }
+}
+
+/// Index of the largest value in `xs`: the one argmax rule every served
+/// label uses. A value replaces the current best only if strictly greater,
+/// starting from index 0, so ties go to the first index and a leading NaN
+/// (nothing compares greater than it) keeps index 0. Empty input is 0.
+pub fn argmax_of(xs: &[f32]) -> usize {
+    let mut best = 0;
+    for (i, &x) in xs.iter().enumerate() {
+        if x > xs[best] {
+            best = i;
+        }
+    }
+    best
 }
 
 /// Standard normal distribution via Box–Muller, avoiding a rand_distr dep.
@@ -438,6 +447,37 @@ mod tests {
         assert_eq!(t.argmax(), 2);
         let frob = t.frobenius_norm();
         assert!((frob - (14.0f32).sqrt()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn argmax_of_keeps_the_first_strict_maximum() {
+        // The loop `Tensor::argmax` carried before it delegated here.
+        fn old_loop(xs: &[f32]) -> usize {
+            let mut best = 0;
+            for (i, &x) in xs.iter().enumerate() {
+                if x > xs[best] {
+                    best = i;
+                }
+            }
+            best
+        }
+        let nan = f32::NAN;
+        let ninf = f32::NEG_INFINITY;
+        for (xs, want) in [
+            (&[1.0, 3.0, 3.0, 2.0][..], 1), // ties: first index
+            (&[nan, 1.0, 2.0][..], 0),      // leading NaN is never beaten
+            (&[1.0, nan, 2.0][..], 2),      // a later NaN is skipped
+            (&[ninf, ninf, ninf][..], 0),
+            (&[-7.5][..], 0),
+            (&[][..], 0),
+        ] {
+            assert_eq!(argmax_of(xs), want, "{xs:?}");
+            assert_eq!(argmax_of(xs), old_loop(xs), "{xs:?}");
+            if !xs.is_empty() {
+                let t = Tensor::from_vec(xs.to_vec(), &[xs.len()]);
+                assert_eq!(t.argmax(), want, "{xs:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property-based tests over the core data structures and invariants.
 
 use proptest::prelude::*;
-use tensor::{linalg, Shape, Tensor};
+use tensor::linalg::{self, Gemm};
+use tensor::{Shape, Tensor};
 
 fn small_dims() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(1usize..6, 1..4)
@@ -38,8 +39,8 @@ proptest! {
         let a = Tensor::randn(&[m, k], &mut rng);
         let b = Tensor::randn(&[m, k], &mut rng);
         let c = Tensor::randn(&[k, n], &mut rng);
-        let lhs = linalg::matmul(&a.add(&b), &c);
-        let rhs = linalg::matmul(&a, &c).add(&linalg::matmul(&b, &c));
+        let lhs = Gemm::new(&a.add(&b), &c).run();
+        let rhs = Gemm::new(&a, &c).run().add(&Gemm::new(&b, &c).run());
         for (x, y) in lhs.data().iter().zip(rhs.data()) {
             prop_assert!((x - y).abs() < 1e-3, "{} vs {}", x, y);
         }
@@ -52,8 +53,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = Tensor::randn(&[3, 4], &mut rng);
         let b = Tensor::randn(&[4, 2], &mut rng);
-        let ab_t = linalg::transpose(&linalg::matmul(&a, &b));
-        let bt_at = linalg::matmul(&linalg::transpose(&b), &linalg::transpose(&a));
+        let ab_t = linalg::transpose(&Gemm::new(&a, &b).run());
+        let bt_at = Gemm::new(&linalg::transpose(&b), &linalg::transpose(&a)).run();
         for (x, y) in ab_t.data().iter().zip(bt_at.data()) {
             prop_assert!((x - y).abs() < 1e-4);
         }
@@ -315,7 +316,7 @@ mod model_blob_props {
 
 mod batcher_props {
     use super::*;
-    use ndpipe::online::{BatchPolicy, Batcher};
+    use ndpipe::online::Batcher;
 
     proptest! {
         /// The front door's coalescing rule under arbitrary push /
@@ -329,7 +330,7 @@ mod batcher_props {
             ops in prop::collection::vec(0u8..4, 0..200),
             max_batch in 1usize..6,
         ) {
-            let mut b = Batcher::new(BatchPolicy { max_batch });
+            let mut b = Batcher::new(max_batch);
             let mut pushed = 0u32;
             let mut emitted: Vec<u32> = Vec::new();
             let mut outstanding = 0usize;

@@ -10,7 +10,7 @@ use ndpipe::rpc::wire::{
     read_handshake, read_reply, write_handshake, write_request, Handshake, Reply, Request,
     PROTOCOL_VERSION,
 };
-use ndpipe::rpc::{ConnectOptions, RemotePipeStore};
+use ndpipe::rpc::{ConnectOptions, RemotePipeStore, RpcError};
 use ndpipe::PipeStore;
 use ndpipe_data::{ClassUniverse, LabeledDataset};
 use rand::rngs::StdRng;
@@ -120,6 +120,49 @@ fn pipelined_inference_matches_direct_forward() {
         vec![expected[0], expected[1]]
     );
     assert_eq!(client.infer(&rows[2]).expect("single infer"), expected[2]);
+
+    client.shutdown().expect("end session");
+    server.shutdown().expect("clean server stop");
+}
+
+/// Every `Infer` row is answered from the batch path, per-row errors
+/// included: no model installed, and one wrong-width row inside a
+/// pipelined wave. Neither is a session fault — the window drains, and
+/// the same session's next wave is labeled as the local forward labels it.
+#[test]
+fn batch_path_errors_reach_the_client_and_the_session_survives() {
+    let mut rng = StdRng::seed_from_u64(607);
+    let server = bind_server(&mut rng);
+    let model = Mlp::new(&[16, 24, 4], 1, &mut rng);
+    let (rows, expected) = rows_and_expected(&model, &mut rng, 8);
+    let mut client = RemotePipeStore::connect(server.local_addr()).expect("connect");
+
+    match client.infer(&rows[0]) {
+        Err(RpcError::Remote {
+            op: "infer", msg, ..
+        }) => assert!(msg.contains("no model"), "unexpected error text: {msg}"),
+        other => panic!("expected a remote no-model error, got {other:?}"),
+    }
+
+    client.install_model(&model).expect("install");
+    client.start_infer(&rows[0]).expect("start");
+    client.start_infer(&rows[1]).expect("start");
+    client.start_infer(&[0.5; 3]).expect("start");
+    client.start_infer(&rows[2]).expect("start");
+    match client.finish_infer() {
+        Err(RpcError::Remote {
+            op: "infer", msg, ..
+        }) => assert!(
+            msg.contains("bad feature dim"),
+            "unexpected error text: {msg}"
+        ),
+        other => panic!("expected a remote bad-width error, got {other:?}"),
+    }
+
+    // Had the window not drained, its stale replies would be read as
+    // this wave's labels.
+    let labels = client.infer_pipelined(&rows, 4).expect("next wave");
+    assert_eq!(labels, expected, "session desynchronized after an error");
 
     client.shutdown().expect("end session");
     server.shutdown().expect("clean server stop");
@@ -238,7 +281,7 @@ fn idle_server_fires_at_once_and_a_pipelined_wave_still_coalesces() {
     assert_eq!(batched_rows, LONE as f64 + 8.0);
     assert!(
         batches <= LONE as u64 + 2 && coalesced >= 7,
-        "the wave did not coalesce: {} batches, {coalesced} coalesced rows",
+        "the wave did not coalesce ({} batches, {coalesced} coalesced rows)",
         batches - LONE as u64
     );
 }
@@ -302,7 +345,7 @@ fn a_dead_sessions_batch_does_not_strand_the_next_row() {
     // A hanging up on unread replies may be reported as the first
     // session error (a reset); anything else is a server fault.
     match server.shutdown() {
-        Ok(_) | Err(ndpipe::rpc::RpcError::Io(_)) => {}
+        Ok(_) | Err(RpcError::Io(_)) => {}
         Err(e) => panic!("server fault after dead sessions: {e}"),
     }
 }
