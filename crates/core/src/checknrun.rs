@@ -7,9 +7,10 @@
 //! to 8 bits with a per-tensor scale, DEFLATE-compressed — achieving
 //! traffic reductions of hundreds of × versus full-model distribution.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use dnn::Mlp;
 use ndpipe_data::deflate;
+use telemetry::codec::{self, put_f32, put_u32, put_u64, Reader};
 use tensor::Tensor;
 
 /// Errors applying a delta to a model replica.
@@ -33,6 +34,12 @@ impl std::fmt::Display for DeltaError {
 }
 
 impl std::error::Error for DeltaError {}
+
+impl From<codec::Error> for DeltaError {
+    fn from(_: codec::Error) -> Self {
+        DeltaError::Corrupt
+    }
+}
 
 /// A compressed, quantized diff between two fine-tuned models.
 ///
@@ -61,30 +68,23 @@ pub struct ModelDelta {
 }
 
 /// Quantization: i8 with symmetric per-tensor scale.
-fn quantize(delta: &Tensor, out: &mut BytesMut) {
+fn quantize(delta: &Tensor, out: &mut Vec<u8>) {
     let max_abs = delta.data().iter().fold(0.0f32, |m, &x| m.max(x.abs()));
     let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 0.0 };
-    out.put_f32_le(scale);
-    for &x in delta.data() {
+    put_f32(out, scale);
+    out.extend(delta.data().iter().map(|&x| {
         let q = if scale > 0.0 {
             (x / scale).round().clamp(-127.0, 127.0) as i8
         } else {
             0
         };
-        out.put_i8(q);
-    }
+        q as u8
+    }));
 }
 
-fn dequantize(buf: &mut impl Buf, n: usize) -> Result<Vec<f32>, DeltaError> {
-    if buf.remaining() < 4 + n {
-        return Err(DeltaError::Corrupt);
-    }
-    let scale = buf.get_f32_le();
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(buf.get_i8() as f32 * scale);
-    }
-    Ok(out)
+fn dequantize(r: &mut Reader<'_>, n: usize) -> Result<Vec<f32>, DeltaError> {
+    let scale = r.f32()?;
+    Ok(r.take(n)?.iter().map(|&q| q as i8 as f32 * scale).collect())
 }
 
 impl ModelDelta {
@@ -102,13 +102,12 @@ impl ModelDelta {
         assert_eq!(old.split(), new.split(), "split mismatch");
         let old_cls = old.classifier_layers();
         let new_cls = new.classifier_layers();
-        let mut raw = BytesMut::new();
-        raw.put_u32_le(new_cls.len() as u32);
+        let mut raw = Vec::new();
+        put_u32(&mut raw, new_cls.len() as u32);
         for (o, n) in old_cls.iter().zip(new_cls) {
             assert_eq!(o.weights().dims(), n.weights().dims(), "shape mismatch");
-            let dims = n.weights().dims();
-            raw.put_u32_le(dims[0] as u32);
-            raw.put_u32_le(dims[1] as u32);
+            put_u32(&mut raw, n.d_out() as u32);
+            put_u32(&mut raw, n.d_in() as u32);
             let dw = n.weights().sub(o.weights());
             let db = n.bias().sub(o.bias());
             quantize(&dw, &mut raw);
@@ -174,9 +173,9 @@ impl ModelDelta {
     /// then the compressed payload, all little-endian.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(24 + self.payload.len());
-        out.extend_from_slice(&(self.full_model_bytes as u64).to_le_bytes());
-        out.extend_from_slice(&self.base_version.to_le_bytes());
-        out.extend_from_slice(&self.target_version.to_le_bytes());
+        put_u64(&mut out, self.full_model_bytes as u64);
+        put_u64(&mut out, self.base_version);
+        put_u64(&mut out, self.target_version);
         out.extend_from_slice(&self.payload);
         out
     }
@@ -187,21 +186,15 @@ impl ModelDelta {
     ///
     /// [`DeltaError::Corrupt`] if the framing is too short.
     pub fn from_bytes(bytes: &[u8]) -> Result<ModelDelta, DeltaError> {
-        if bytes.len() < 24 {
-            return Err(DeltaError::Corrupt);
-        }
-        let u64_at = |i: usize| {
-            bytes
-                .get(i..i + 8)
-                .and_then(|s| <[u8; 8]>::try_from(s).ok())
-                .map(u64::from_le_bytes)
-                .ok_or(DeltaError::Corrupt)
-        };
+        let mut r = Reader::new(bytes);
+        let full_model_bytes = r.u64()? as usize;
+        let base_version = r.u64()?;
+        let target_version = r.u64()?;
         Ok(ModelDelta {
-            payload: Bytes::copy_from_slice(&bytes[24..]),
-            full_model_bytes: u64_at(0)? as usize,
-            base_version: u64_at(8)?,
-            target_version: u64_at(16)?,
+            payload: Bytes::copy_from_slice(r.rest()),
+            full_model_bytes,
+            base_version,
+            target_version,
         })
     }
 
@@ -221,25 +214,21 @@ impl ModelDelta {
     pub fn apply(&self, replica: &mut Mlp) -> Result<(), DeltaError> {
         // `decompress_framed` also accepts legacy plain-deflate deltas.
         let raw = deflate::decompress_framed(&self.payload).map_err(|_| DeltaError::Corrupt)?;
-        let mut buf = Bytes::from(raw);
-        if buf.remaining() < 4 {
-            return Err(DeltaError::Corrupt);
-        }
-        let n_layers = buf.get_u32_le() as usize;
+        let mut r = Reader::new(&raw);
+        // Smallest layer: two dims and two scales around one weight and
+        // one bias.
+        let n_layers = r.count(4 + 4 + 4 + 1 + 4 + 1)?;
         if n_layers != replica.classifier_layers().len() {
             return Err(DeltaError::ShapeMismatch);
         }
         for layer in replica.classifier_layers_mut() {
-            if buf.remaining() < 8 {
-                return Err(DeltaError::Corrupt);
-            }
-            let d_out = buf.get_u32_le() as usize;
-            let d_in = buf.get_u32_le() as usize;
+            let d_out = r.u32()? as usize;
+            let d_in = r.u32()? as usize;
             if d_out != layer.d_out() || d_in != layer.d_in() {
                 return Err(DeltaError::ShapeMismatch);
             }
-            let dw = dequantize(&mut buf, d_out * d_in)?;
-            let db = dequantize(&mut buf, d_out)?;
+            let dw = dequantize(&mut r, d_out * d_in)?;
+            let db = dequantize(&mut r, d_out)?;
             let mut w = layer.weights().clone();
             for (t, d) in w.data_mut().iter_mut().zip(&dw) {
                 *t += d;

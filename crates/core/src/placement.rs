@@ -16,14 +16,14 @@
 //! PipeStores reject installs of maps older than the one they hold, so
 //! a delayed publish can never roll the fleet backwards. The map
 //! travels over the wire via [`PlacementMap::to_bytes`] /
-//! [`PlacementMap::from_bytes`] — same hand-rolled little-endian
-//! discipline as the rest of [`crate::rpc::wire`].
+//! [`PlacementMap::from_bytes`], on the same [`telemetry::codec`] as
+//! the rest of [`crate::rpc::wire`].
 
 use std::fmt;
+use telemetry::codec::{self, put_u32, put_u64, Reader};
 
-/// Upper bound on the node count a serialized map may claim, so a
-/// corrupt frame cannot force a huge allocation.
-const MAX_NODES: u32 = 1 << 20;
+/// Upper bound on the node count a serialized map may claim.
+const MAX_NODES: usize = 1 << 20;
 
 /// Serialization format revision for [`PlacementMap::to_bytes`].
 const CODEC_VERSION: u32 = 1;
@@ -67,6 +67,12 @@ impl fmt::Display for PlacementError {
 }
 
 impl std::error::Error for PlacementError {}
+
+impl From<codec::Error> for PlacementError {
+    fn from(e: codec::Error) -> Self {
+        PlacementError::Corrupt(e.0)
+    }
+}
 
 /// One node in the map: a stable id plus its current liveness flag.
 /// Down nodes stay listed (so a rejoin with the same id reclaims the
@@ -259,12 +265,12 @@ impl PlacementMap {
     /// [u32 n][(u64 id, u8 up) * n]`, little-endian throughout.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(20 + self.nodes.len() * 9);
-        out.extend_from_slice(&CODEC_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.replicas.to_le_bytes());
-        out.extend_from_slice(&(self.nodes.len() as u32).to_le_bytes());
+        put_u32(&mut out, CODEC_VERSION);
+        put_u64(&mut out, self.epoch);
+        put_u32(&mut out, self.replicas);
+        put_u32(&mut out, self.nodes.len() as u32);
         for n in &self.nodes {
-            out.extend_from_slice(&n.id.to_le_bytes());
+            put_u64(&mut out, n.id);
             out.push(u8::from(n.up));
         }
         out
@@ -274,57 +280,29 @@ impl PlacementMap {
     /// node list must be sorted, unique, bounded, and consistent with
     /// the replication factor.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, PlacementError> {
-        struct Cur<'a> {
-            buf: &'a [u8],
-            at: usize,
-        }
-        impl<'a> Cur<'a> {
-            fn take(&mut self, n: usize) -> Result<&'a [u8], PlacementError> {
-                let end = self
-                    .at
-                    .checked_add(n)
-                    .ok_or(PlacementError::Corrupt("length overflow"))?;
-                let s = self
-                    .buf
-                    .get(self.at..end)
-                    .ok_or(PlacementError::Corrupt("truncated"))?;
-                self.at = end;
-                Ok(s)
-            }
-            fn u32(&mut self) -> Result<u32, PlacementError> {
-                let mut b = [0u8; 4];
-                b.copy_from_slice(self.take(4)?);
-                Ok(u32::from_le_bytes(b))
-            }
-            fn u64(&mut self) -> Result<u64, PlacementError> {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(self.take(8)?);
-                Ok(u64::from_le_bytes(b))
-            }
-        }
-        let mut cur = Cur { buf, at: 0 };
+        let mut cur = Reader::new(buf);
         if cur.u32()? != CODEC_VERSION {
             return Err(PlacementError::Corrupt("unknown codec version"));
         }
         let epoch = cur.u64()?;
         let replicas = cur.u32()?;
-        let n = cur.u32()?;
+        let n = cur.count(9)?;
         if replicas == 0 {
             return Err(PlacementError::Corrupt("zero replication factor"));
         }
         if n == 0 || n > MAX_NODES {
             return Err(PlacementError::Corrupt("node count out of range"));
         }
-        if replicas > n {
+        if replicas as usize > n {
             return Err(PlacementError::Corrupt("replicas exceed node count"));
         }
-        let mut nodes = Vec::with_capacity(n as usize);
+        let mut nodes = Vec::with_capacity(n);
         let mut prev: Option<u64> = None;
         for _ in 0..n {
             let id = cur.u64()?;
-            let up = match cur.take(1)? {
-                [0] => false,
-                [1] => true,
+            let up = match cur.u8()? {
+                0 => false,
+                1 => true,
                 _ => return Err(PlacementError::Corrupt("bad liveness flag")),
             };
             if prev.is_some_and(|p| p >= id) {
@@ -333,9 +311,7 @@ impl PlacementMap {
             prev = Some(id);
             nodes.push(PlacementNode { id, up });
         }
-        if cur.at != buf.len() {
-            return Err(PlacementError::Corrupt("trailing bytes"));
-        }
+        cur.finish()?;
         Ok(PlacementMap {
             epoch,
             replicas,

@@ -4,8 +4,9 @@
 //! evaluation needs two or more machines ... matching the port number on
 //! the Tuner side").
 //!
-//! - [`wire`] — length-prefixed, tagged frames with hand-rolled
-//!   little-endian payload encoding (no external serialization crates),
+//! - [`wire`] — length-prefixed, tagged frames whose little-endian
+//!   payloads go through [`telemetry::codec`] (no external
+//!   serialization crates),
 //!   including the versioned [`wire::Handshake`] that opens every session,
 //! - [`server`] — [`server::PipeStoreServer`]: an event-driven
 //!   (poll-based) front door around a [`crate::PipeStore`] — nonblocking
@@ -112,6 +113,12 @@ impl std::error::Error for RpcError {
 impl From<std::io::Error> for RpcError {
     fn from(e: std::io::Error) -> Self {
         RpcError::Io(e)
+    }
+}
+
+impl From<telemetry::codec::Error> for RpcError {
+    fn from(e: telemetry::codec::Error) -> Self {
+        RpcError::Protocol(e.0)
     }
 }
 

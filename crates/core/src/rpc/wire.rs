@@ -9,6 +9,7 @@
 use crate::placement::PlacementMap;
 use crate::rpc::RpcError;
 use std::io::{Read, Write};
+use telemetry::codec::{put_f32s, put_u32, put_u64, Reader};
 use tensor::linalg::KernelFamily;
 use tensor::{MathPolicy, Tensor};
 
@@ -67,15 +68,15 @@ impl PhotoRecord {
         p.extend_from_slice(&self.sidecar);
     }
 
-    fn decode_from(c: &mut Cursor<'_>) -> Result<Self, RpcError> {
+    fn decode_from(c: &mut Reader<'_>) -> Result<Self, RpcError> {
         let id = c.u64()?;
         let class = c.u32()?;
         let day = c.u32()?;
         let preproc_bytes = c.u32()?;
-        let blob_len = c.u32()? as usize;
-        let blob = c.take(blob_len)?.to_vec();
-        let sidecar_len = c.u32()? as usize;
-        let sidecar = c.take(sidecar_len)?.to_vec();
+        let n = c.count(1)?;
+        let blob = c.take(n)?.to_vec();
+        let n = c.count(1)?;
+        let sidecar = c.take(n)?.to_vec();
         Ok(PhotoRecord {
             id,
             class,
@@ -277,56 +278,15 @@ const TAG_PHOTO: u8 = 71;
 const TAG_PHOTO_IDS: u8 = 72;
 const TAG_ERROR: u8 = 127;
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], RpcError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(RpcError::Protocol("payload truncated"))?;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(RpcError::Protocol("payload truncated"))?;
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, RpcError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, RpcError> {
-        let b: [u8; 4] = self
-            .take(4)?
-            .try_into()
-            .map_err(|_| RpcError::Protocol("payload truncated"))?;
-        Ok(u32::from_le_bytes(b))
-    }
-    fn u64(&mut self) -> Result<u64, RpcError> {
-        let b: [u8; 8] = self
-            .take(8)?
-            .try_into()
-            .map_err(|_| RpcError::Protocol("payload truncated"))?;
-        Ok(u64::from_le_bytes(b))
-    }
-    fn finish(self) -> Result<(), RpcError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(RpcError::Protocol("trailing bytes in payload"))
-        }
-    }
+/// Decodes a whole payload with `f`, refusing trailing bytes.
+fn decode_all<T>(
+    payload: &[u8],
+    f: impl FnOnce(&mut Reader<'_>) -> Result<T, RpcError>,
+) -> Result<T, RpcError> {
+    let mut c = Reader::new(payload);
+    let value = f(&mut c)?;
+    c.finish()?;
+    Ok(value)
 }
 
 impl Request {
@@ -340,9 +300,7 @@ impl Request {
             Request::Infer { features } => {
                 let mut p = Vec::with_capacity(4 + features.len() * 4);
                 put_u32(&mut p, features.len() as u32);
-                for &x in features {
-                    p.extend_from_slice(&x.to_le_bytes());
-                }
+                put_f32s(&mut p, features);
                 (TAG_INFER_ROW, p)
             }
             Request::Placement => (TAG_PLACEMENT_REQ, Vec::new()),
@@ -352,11 +310,7 @@ impl Request {
                 rec.encode_into(&mut p);
                 (TAG_PUT_PHOTO, p)
             }
-            Request::GetPhoto(id) => {
-                let mut p = Vec::with_capacity(8);
-                put_u64(&mut p, *id);
-                (TAG_GET_PHOTO, p)
-            }
+            Request::GetPhoto(id) => (TAG_GET_PHOTO, id.to_le_bytes().to_vec()),
             Request::ListPhotos => (TAG_LIST_PHOTOS, Vec::new()),
             Request::ExtractSlice {
                 node,
@@ -367,17 +321,12 @@ impl Request {
             } => {
                 let mut p = Vec::with_capacity(24);
                 put_u64(&mut p, *node);
-                put_u32(&mut p, *run);
-                put_u32(&mut p, *n_run);
-                put_u32(&mut p, *mb);
-                put_u32(&mut p, *n_mb);
+                for v in [run, n_run, mb, n_mb] {
+                    put_u32(&mut p, *v);
+                }
                 (TAG_EXTRACT_SLICE, p)
             }
-            Request::DescribeNode(node) => {
-                let mut p = Vec::with_capacity(8);
-                put_u64(&mut p, *node);
-                (TAG_DESCRIBE_NODE, p)
-            }
+            Request::DescribeNode(node) => (TAG_DESCRIBE_NODE, node.to_le_bytes().to_vec()),
             Request::Shutdown => (TAG_SHUTDOWN, Vec::new()),
         }
     }
@@ -389,77 +338,33 @@ impl Request {
             TAG_DELTA => Ok(Request::ApplyDelta(payload.to_vec())),
             TAG_DESCRIBE => Ok(Request::Describe),
             TAG_METRICS_REQ => Ok(Request::Metrics),
-            TAG_INFER_ROW => {
-                let mut c = Cursor {
-                    buf: payload,
-                    pos: 0,
-                };
-                let n = c.u32()? as usize;
-                let bytes = n
-                    .checked_mul(4)
-                    .ok_or(RpcError::Protocol("infer row too large"))?;
-                let raw = c.take(bytes)?;
-                let mut features = Vec::with_capacity(n);
-                for b in raw.chunks_exact(4) {
-                    let arr: [u8; 4] = b
-                        .try_into()
-                        .map_err(|_| RpcError::Protocol("payload truncated"))?;
-                    features.push(f32::from_le_bytes(arr));
-                }
-                c.finish()?;
-                Ok(Request::Infer { features })
-            }
+            TAG_INFER_ROW => decode_all(payload, |c| {
+                let n = c.count(4)?;
+                Ok(Request::Infer {
+                    features: c.f32s(n)?,
+                })
+            }),
             TAG_PLACEMENT_REQ => Ok(Request::Placement),
             TAG_INSTALL_PLACEMENT => PlacementMap::from_bytes(payload)
                 .map(Request::InstallPlacement)
                 .map_err(|_| RpcError::Protocol("corrupt placement map")),
-            TAG_PUT_PHOTO => {
-                let mut c = Cursor {
-                    buf: payload,
-                    pos: 0,
-                };
-                let rec = PhotoRecord::decode_from(&mut c)?;
-                c.finish()?;
-                Ok(Request::PutPhoto(rec))
-            }
-            TAG_GET_PHOTO => {
-                let mut c = Cursor {
-                    buf: payload,
-                    pos: 0,
-                };
-                let id = c.u64()?;
-                c.finish()?;
-                Ok(Request::GetPhoto(id))
-            }
+            TAG_PUT_PHOTO => decode_all(payload, |c| {
+                PhotoRecord::decode_from(c).map(Request::PutPhoto)
+            }),
+            TAG_GET_PHOTO => decode_all(payload, |c| Ok(Request::GetPhoto(c.u64()?))),
             TAG_LIST_PHOTOS => Ok(Request::ListPhotos),
-            TAG_EXTRACT_SLICE => {
-                let mut c = Cursor {
-                    buf: payload,
-                    pos: 0,
-                };
-                let node = c.u64()?;
-                let run = c.u32()?;
-                let n_run = c.u32()?;
-                let mb = c.u32()?;
-                let n_mb = c.u32()?;
-                c.finish()?;
+            // Struct-literal fields evaluate in source order, which is
+            // the wire order.
+            TAG_EXTRACT_SLICE => decode_all(payload, |c| {
                 Ok(Request::ExtractSlice {
-                    node,
-                    run,
-                    n_run,
-                    mb,
-                    n_mb,
+                    node: c.u64()?,
+                    run: c.u32()?,
+                    n_run: c.u32()?,
+                    mb: c.u32()?,
+                    n_mb: c.u32()?,
                 })
-            }
-            TAG_DESCRIBE_NODE => {
-                let mut c = Cursor {
-                    buf: payload,
-                    pos: 0,
-                };
-                let node = c.u64()?;
-                c.finish()?;
-                Ok(Request::DescribeNode(node))
-            }
+            }),
+            TAG_DESCRIBE_NODE => decode_all(payload, |c| Ok(Request::DescribeNode(c.u64()?))),
             TAG_SHUTDOWN => Ok(Request::Shutdown),
             _ => Err(RpcError::Protocol("unknown request tag")),
         }
@@ -471,18 +376,16 @@ impl Reply {
         match self {
             Reply::Ack => (TAG_ACK, Vec::new()),
             Reply::Features { features, labels } => {
-                let mut p = Vec::new();
                 // A non-2D tensor is a caller bug; encode (0, 0) so the
                 // peer rejects the frame instead of panicking here.
                 let (rows, cols) = match *features.dims() {
                     [r, c] => (r, c),
                     _ => (0, 0),
                 };
+                let mut p = Vec::with_capacity(12 + 4 * (features.data().len() + labels.len()));
                 put_u32(&mut p, rows as u32);
                 put_u32(&mut p, cols as u32);
-                for &x in features.data() {
-                    p.extend_from_slice(&x.to_le_bytes());
-                }
+                put_f32s(&mut p, features.data());
                 put_u32(&mut p, labels.len() as u32);
                 for &l in labels {
                     put_u32(&mut p, l);
@@ -507,11 +410,7 @@ impl Reply {
                 (TAG_SHARD_INFO, p)
             }
             Reply::Metrics(snapshot) => (TAG_METRICS, snapshot.to_bytes()),
-            Reply::Label(label) => {
-                let mut p = Vec::with_capacity(4);
-                put_u32(&mut p, *label);
-                (TAG_LABEL, p)
-            }
+            Reply::Label(label) => (TAG_LABEL, label.to_le_bytes().to_vec()),
             Reply::Placement(map) => (TAG_PLACEMENT, map.to_bytes()),
             Reply::Photo(rec) => {
                 let mut p = Vec::new();
@@ -533,11 +432,7 @@ impl Reply {
     pub(crate) fn decode_body(tag: u8, payload: &[u8]) -> Result<Reply, RpcError> {
         match tag {
             TAG_ACK => Ok(Reply::Ack),
-            TAG_FEATURES => {
-                let mut c = Cursor {
-                    buf: payload,
-                    pos: 0,
-                };
+            TAG_FEATURES => decode_all(payload, |c| {
                 let rows = c.u32()? as usize;
                 let dim = c.u32()? as usize;
                 if rows == 0 || dim == 0 {
@@ -545,104 +440,60 @@ impl Reply {
                 }
                 // Checked arithmetic: a crafted frame must not wrap the
                 // element count into a small number that parses.
-                let bytes = rows
+                let n = rows
                     .checked_mul(dim)
-                    .and_then(|n| n.checked_mul(4))
                     .ok_or(RpcError::Protocol("feature matrix too large"))?;
-                let raw = c.take(bytes)?;
-                let mut data = Vec::with_capacity(rows * dim);
-                for b in raw.chunks_exact(4) {
-                    let arr: [u8; 4] = b
-                        .try_into()
-                        .map_err(|_| RpcError::Protocol("payload truncated"))?;
-                    data.push(f32::from_le_bytes(arr));
-                }
-                let n_labels = c.u32()? as usize;
-                if n_labels != rows {
+                let data = c.f32s(n)?;
+                if c.count(4)? != rows {
                     return Err(RpcError::Protocol("label count mismatch"));
                 }
-                let mut labels = Vec::with_capacity(n_labels);
-                for _ in 0..n_labels {
+                let mut labels = Vec::with_capacity(rows);
+                for _ in 0..rows {
                     labels.push(c.u32()?);
                 }
-                c.finish()?;
                 Ok(Reply::Features {
                     features: Tensor::from_vec(data, &[rows, dim]),
                     labels,
                 })
-            }
-            TAG_LABELS => {
-                let mut c = Cursor {
-                    buf: payload,
-                    pos: 0,
-                };
-                let n = c.u32()? as usize;
+            }),
+            TAG_LABELS => decode_all(payload, |c| {
+                let n = c.count(12)?;
                 let mut pairs = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let id = c.u64()?;
-                    let label = c.u32()?;
-                    pairs.push((id, label));
+                    pairs.push((c.u64()?, c.u32()?));
                 }
-                c.finish()?;
                 Ok(Reply::Labels(pairs))
-            }
-            TAG_SHARD_INFO => {
-                let mut c = Cursor {
-                    buf: payload,
-                    pos: 0,
-                };
+            }),
+            TAG_SHARD_INFO => decode_all(payload, |c| {
                 let examples = c.u64()?;
                 let classes = c.u32()?;
                 let math = MathPolicy::from_u8(c.u8()?)
                     .ok_or(RpcError::Protocol("unknown math policy"))?;
                 let kernel = KernelFamily::from_u8(c.u8()?)
                     .ok_or(RpcError::Protocol("unknown kernel family"))?;
-                c.finish()?;
                 Ok(Reply::ShardInfo(ShardDesc {
                     examples,
                     classes,
                     math,
                     kernel,
                 }))
-            }
+            }),
             TAG_METRICS => telemetry::Snapshot::from_bytes(payload)
                 .map(Reply::Metrics)
                 .map_err(RpcError::Protocol),
-            TAG_LABEL => {
-                let mut c = Cursor {
-                    buf: payload,
-                    pos: 0,
-                };
-                let label = c.u32()?;
-                c.finish()?;
-                Ok(Reply::Label(label))
-            }
+            TAG_LABEL => decode_all(payload, |c| Ok(Reply::Label(c.u32()?))),
             TAG_PLACEMENT => PlacementMap::from_bytes(payload)
                 .map(Reply::Placement)
                 .map_err(|_| RpcError::Protocol("corrupt placement map")),
-            TAG_PHOTO => {
-                let mut c = Cursor {
-                    buf: payload,
-                    pos: 0,
-                };
-                let rec = PhotoRecord::decode_from(&mut c)?;
-                c.finish()?;
-                Ok(Reply::Photo(rec))
-            }
-            TAG_PHOTO_IDS => {
-                let mut c = Cursor {
-                    buf: payload,
-                    pos: 0,
-                };
-                let n = c.u32()? as usize;
-                // 8 bytes per id must still be present in the payload.
-                let mut ids = Vec::with_capacity(n.min(payload.len() / 8 + 1));
+            TAG_PHOTO => decode_all(payload, |c| PhotoRecord::decode_from(c).map(Reply::Photo)),
+            TAG_PHOTO_IDS => decode_all(payload, |c| {
+                let n = c.count(8)?;
+                let mut ids = Vec::with_capacity(n);
                 for _ in 0..n {
                     ids.push(c.u64()?);
                 }
-                c.finish()?;
                 Ok(Reply::PhotoIds(ids))
-            }
+            }),
             TAG_ERROR => Ok(Reply::Error(String::from_utf8_lossy(payload).into_owned())),
             _ => Err(RpcError::Protocol("unknown reply tag")),
         }
@@ -651,9 +502,9 @@ impl Reply {
 
 impl Handshake {
     pub(crate) fn encode_body(&self) -> (u8, Vec<u8>) {
+        let mut p = Vec::with_capacity(20);
         match self {
             Handshake::Hello { version, features } => {
-                let mut p = Vec::with_capacity(12);
                 put_u32(&mut p, *version);
                 put_u64(&mut p, *features);
                 (TAG_HELLO, p)
@@ -663,14 +514,12 @@ impl Handshake {
                 features,
                 store_id,
             } => {
-                let mut p = Vec::with_capacity(20);
                 put_u32(&mut p, *version);
                 put_u64(&mut p, *features);
                 put_u64(&mut p, *store_id);
                 (TAG_ACCEPT, p)
             }
             Handshake::Reject { version, reason } => {
-                let mut p = Vec::with_capacity(4 + reason.len());
                 put_u32(&mut p, *version);
                 p.extend_from_slice(reason.as_bytes());
                 (TAG_REJECT, p)
@@ -679,44 +528,22 @@ impl Handshake {
     }
 
     pub(crate) fn decode_body(tag: u8, payload: &[u8]) -> Result<Handshake, RpcError> {
-        match tag {
-            TAG_HELLO => {
-                let mut c = Cursor {
-                    buf: payload,
-                    pos: 0,
-                };
-                let version = c.u32()?;
-                let features = c.u64()?;
-                c.finish()?;
-                Ok(Handshake::Hello { version, features })
-            }
-            TAG_ACCEPT => {
-                let mut c = Cursor {
-                    buf: payload,
-                    pos: 0,
-                };
-                let version = c.u32()?;
-                let features = c.u64()?;
-                let store_id = c.u64()?;
-                c.finish()?;
-                Ok(Handshake::Accept {
-                    version,
-                    features,
-                    store_id,
-                })
-            }
-            TAG_REJECT => {
-                let mut c = Cursor {
-                    buf: payload,
-                    pos: 0,
-                };
-                let version = c.u32()?;
-                let reason =
-                    String::from_utf8_lossy(c.take(payload.len().saturating_sub(4))?).into_owned();
-                Ok(Handshake::Reject { version, reason })
-            }
+        decode_all(payload, |c| match tag {
+            TAG_HELLO => Ok(Handshake::Hello {
+                version: c.u32()?,
+                features: c.u64()?,
+            }),
+            TAG_ACCEPT => Ok(Handshake::Accept {
+                version: c.u32()?,
+                features: c.u64()?,
+                store_id: c.u64()?,
+            }),
+            TAG_REJECT => Ok(Handshake::Reject {
+                version: c.u32()?,
+                reason: String::from_utf8_lossy(c.rest()).into_owned(),
+            }),
             _ => Err(RpcError::Protocol("expected handshake frame")),
-        }
+        })
     }
 }
 
@@ -742,14 +569,33 @@ pub fn read_handshake<R: Read>(r: &mut R) -> Result<Handshake, RpcError> {
     Handshake::decode_body(tag, &payload)
 }
 
-fn write_frame_noflush<W: Write>(w: &mut W, tag: u8, payload: &[u8]) -> Result<usize, RpcError> {
+/// Frame header bytes: `[u32 len][u8 tag]`.
+const HEADER: usize = 5;
+
+/// The header for `payload`, refusing one above [`MAX_FRAME`].
+fn frame_header(tag: u8, payload: &[u8]) -> Result<[u8; HEADER], RpcError> {
     if payload.len() > MAX_FRAME {
         return Err(RpcError::Protocol("frame too large"));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&[tag])?;
+    let [l0, l1, l2, l3] = (payload.len() as u32).to_le_bytes();
+    Ok([l0, l1, l2, l3, tag])
+}
+
+/// `(tag, payload length)` from a header, refusing a length above
+/// [`MAX_FRAME`] before anything is allocated for it.
+fn parse_header(head: [u8; HEADER]) -> Result<(u8, usize), RpcError> {
+    let [l0, l1, l2, l3, tag] = head;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    if len > MAX_FRAME {
+        return Err(RpcError::Protocol("frame too large"));
+    }
+    Ok((tag, len))
+}
+
+fn write_frame_noflush<W: Write>(w: &mut W, tag: u8, payload: &[u8]) -> Result<usize, RpcError> {
+    w.write_all(&frame_header(tag, payload)?)?;
     w.write_all(payload)?;
-    Ok(5 + payload.len())
+    Ok(HEADER + payload.len())
 }
 
 fn write_frame<W: Write>(w: &mut W, tag: u8, payload: &[u8]) -> Result<usize, RpcError> {
@@ -759,13 +605,9 @@ fn write_frame<W: Write>(w: &mut W, tag: u8, payload: &[u8]) -> Result<usize, Rp
 }
 
 fn read_frame<R: Read>(r: &mut R) -> Result<(u8, Vec<u8>), RpcError> {
-    let mut head = [0u8; 5];
+    let mut head = [0u8; HEADER];
     r.read_exact(&mut head)?;
-    let [l0, l1, l2, l3, tag] = head;
-    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
-    if len > MAX_FRAME {
-        return Err(RpcError::Protocol("frame too large"));
-    }
+    let (tag, len) = parse_header(head)?;
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok((tag, payload))
@@ -775,12 +617,9 @@ fn read_frame<R: Read>(r: &mut R) -> Result<(u8, Vec<u8>), RpcError> {
 /// owned buffer. The event-driven server's workers encode replies with
 /// this and hand the bytes to the event thread for nonblocking writes.
 pub(crate) fn frame_bytes(tag: u8, payload: &[u8]) -> Result<Vec<u8>, RpcError> {
-    if payload.len() > MAX_FRAME {
-        return Err(RpcError::Protocol("frame too large"));
-    }
-    let mut out = Vec::with_capacity(5 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.push(tag);
+    let head = frame_header(tag, payload)?;
+    let mut out = Vec::with_capacity(HEADER + payload.len());
+    out.extend_from_slice(&head);
     out.extend_from_slice(payload);
     Ok(out)
 }
@@ -835,24 +674,15 @@ impl FrameDecoder {
     /// [`MAX_FRAME`]; the connection is unrecoverable after that.
     pub fn next_frame(&mut self) -> Result<Option<(u8, Vec<u8>)>, RpcError> {
         let avail = self.buf.get(self.pos..).unwrap_or(&[]);
-        let Some(head) = avail.get(..5) else {
+        let Some(head) = avail.get(..HEADER).and_then(|h| h.try_into().ok()) else {
             return Ok(None);
         };
-        let (len, tag) = match head {
-            [l0, l1, l2, l3, tag] => (u32::from_le_bytes([*l0, *l1, *l2, *l3]) as usize, *tag),
-            // `get(..5)` returned a slice, so it has exactly 5 bytes;
-            // this arm is unreachable but keeps the match total without
-            // indexing.
-            _ => return Ok(None),
-        };
-        if len > MAX_FRAME {
-            return Err(RpcError::Protocol("frame too large"));
-        }
-        let Some(payload) = avail.get(5..5 + len) else {
+        let (tag, len) = parse_header(head)?;
+        let Some(payload) = avail.get(HEADER..HEADER + len) else {
             return Ok(None);
         };
         let payload = payload.to_vec();
-        self.pos += 5 + len;
+        self.pos += HEADER + len;
         Ok(Some((tag, payload)))
     }
 }
@@ -885,7 +715,7 @@ pub(crate) fn write_request_noflush<W: Write>(w: &mut W, req: &Request) -> Resul
 /// Socket or framing errors.
 pub fn read_request<R: Read>(r: &mut R) -> Result<(Request, usize), RpcError> {
     let (tag, payload) = read_frame(r)?;
-    let n = 5 + payload.len();
+    let n = HEADER + payload.len();
     Ok((Request::decode_body(tag, &payload)?, n))
 }
 
@@ -908,7 +738,7 @@ pub fn write_reply<W: Write>(w: &mut W, reply: &Reply) -> Result<usize, RpcError
 /// Socket or framing errors.
 pub fn read_reply<R: Read>(r: &mut R) -> Result<(Reply, usize), RpcError> {
     let (tag, payload) = read_frame(r)?;
-    let n = 5 + payload.len();
+    let n = HEADER + payload.len();
     Ok((Reply::decode_body(tag, &payload)?, n))
 }
 
@@ -1036,33 +866,63 @@ mod tests {
         ));
     }
 
+    /// A count prefix that claims more elements than the payload can
+    /// hold is refused before anything is sized from it. The 9-byte
+    /// `Labels` frame once asked the allocator for 64 GiB and aborted
+    /// the decoding process.
     #[test]
-    fn overclaimed_photo_id_count_rejected() {
-        // Claims u32::MAX ids, carries one: must error, not allocate.
-        let mut p = Vec::new();
-        put_u32(&mut p, u32::MAX);
-        put_u64(&mut p, 1);
-        assert!(Reply::decode_body(TAG_PHOTO_IDS, &p).is_err());
+    fn overclaimed_counts_are_protocol_errors() {
+        fn overclaimed<T>(r: Result<T, RpcError>) -> bool {
+            matches!(r, Err(RpcError::Protocol("count larger than payload")))
+        }
+        let mut frame = Vec::new();
+        put_u32(&mut frame, 4);
+        frame.push(TAG_LABELS);
+        put_u32(&mut frame, u32::MAX);
+        assert_eq!(frame.len(), 9);
+        assert!(overclaimed(read_reply(&mut frame.as_slice())));
+
+        let claim = |n: u32, tail: &[u8]| {
+            let mut p = Vec::new();
+            put_u32(&mut p, n);
+            p.extend_from_slice(tail);
+            p
+        };
+        // An Infer row of 2 floats claiming 3, and one claiming 2^32 - 1.
+        for n in [3, u32::MAX] {
+            let row = claim(n, &[0; 8]);
+            assert!(overclaimed(Request::decode_body(TAG_INFER_ROW, &row)));
+        }
+        // One id's worth of bytes behind a u32::MAX count.
+        let ids = claim(u32::MAX, &[0; 8]);
+        assert!(overclaimed(Reply::decode_body(TAG_PHOTO_IDS, &ids)));
+
+        // Snapshot: the sample count, then one sample's label count,
+        // then one histogram's bucket count.
+        let samples = claim(u32::MAX, &[0; 21]);
+        let sample_head = |n_labels: u32| {
+            let mut p = claim(1, &[]);
+            telemetry::codec::put_str(&mut p, "h");
+            telemetry::codec::put_str(&mut p, "");
+            put_u32(&mut p, n_labels);
+            p
+        };
+        let mut labels = sample_head(u32::MAX);
+        labels.extend_from_slice(&[0; 16]);
+        let mut buckets = sample_head(0);
+        buckets.push(2);
+        buckets.extend_from_slice(&[0; 32]);
+        put_u32(&mut buckets, u32::MAX);
+        buckets.extend_from_slice(&[0; 16]);
+        for p in [samples, labels, buckets] {
+            assert!(overclaimed(Reply::decode_body(TAG_METRICS, &p)));
+        }
     }
 
     #[test]
     fn label_reply_roundtrips() {
         roundtrip_reply(Reply::Label(0));
         roundtrip_reply(Reply::Label(u32::MAX));
-    }
-
-    #[test]
-    fn truncated_infer_row_rejected() {
-        // Claims 3 floats, carries 2.
-        let mut p = Vec::new();
-        put_u32(&mut p, 3);
-        p.extend_from_slice(&1.0f32.to_le_bytes());
-        p.extend_from_slice(&2.0f32.to_le_bytes());
-        assert!(Request::decode_body(TAG_INFER_ROW, &p).is_err());
-        // Overflowing element count must not wrap into a small read.
-        let mut p = Vec::new();
-        put_u32(&mut p, u32::MAX);
-        assert!(Request::decode_body(TAG_INFER_ROW, &p).is_err());
     }
 
     #[test]

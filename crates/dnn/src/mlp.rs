@@ -348,31 +348,37 @@ impl Mlp {
     pub fn from_bytes(bytes: &[u8]) -> Result<Mlp, String> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8], String> {
-            if *pos + n > bytes.len() {
-                return Err(format!("model blob truncated at byte {pos}", pos = *pos));
-            }
-            let s = &bytes[*pos..*pos + n];
+            let s = pos
+                .checked_add(n)
+                .and_then(|end| bytes.get(*pos..end))
+                .ok_or_else(|| format!("model blob truncated at byte {pos}", pos = *pos))?;
             *pos += n;
             Ok(s)
         };
         if take(&mut pos, 4)? != b"NDPM" {
             return Err("bad model magic".to_string());
         }
-        let u32_at = |pos: &mut usize| -> Result<u32, String> {
-            Ok(u32::from_le_bytes(
-                take(pos, 4)?.try_into().expect("fixed slice"),
-            ))
+        let u32_at = |pos: &mut usize| -> Result<usize, String> {
+            let b: [u8; 4] = take(pos, 4)?
+                .try_into()
+                .map_err(|_| "model blob truncated".to_string())?;
+            Ok(u32::from_le_bytes(b) as usize)
         };
-        let n_layers = u32_at(&mut pos)? as usize;
-        let split = u32_at(&mut pos)? as usize;
+        let n_layers = u32_at(&mut pos)?;
+        let split = u32_at(&mut pos)?;
         if n_layers == 0 || split >= n_layers {
             return Err("invalid layer count or split".to_string());
+        }
+        // The smallest layer (1 → 1) takes 16 bytes; refuse a count the
+        // blob cannot hold before sizing anything from it.
+        if n_layers > (bytes.len() - pos) / 16 {
+            return Err(format!("model blob truncated at byte {pos}"));
         }
         let mut layers: Vec<Linear> = Vec::with_capacity(n_layers);
         let mut rng = SerdeRng;
         for _ in 0..n_layers {
-            let d_in = u32_at(&mut pos)? as usize;
-            let d_out = u32_at(&mut pos)? as usize;
+            let d_in = u32_at(&mut pos)?;
+            let d_out = u32_at(&mut pos)?;
             if d_in == 0 || d_out == 0 {
                 return Err("zero layer dimension".to_string());
             }
@@ -386,14 +392,23 @@ impl Mlp {
                     ));
                 }
             }
+            // Checked: a crafted header must neither wrap `d_out·d_in·4`
+            // into a small read nor build a layer the blob cannot fill.
+            let n_w = d_out
+                .checked_mul(d_in)
+                .filter(|n| n.saturating_add(d_out).saturating_mul(4) <= bytes.len() - pos)
+                .ok_or_else(|| format!("model blob truncated at byte {pos}"))?;
             let read_f32s = |pos: &mut usize, n: usize| -> Result<Vec<f32>, String> {
                 let raw = take(pos, n * 4)?;
-                Ok(raw
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().expect("fixed slice")))
-                    .collect())
+                let mut out = Vec::with_capacity(n);
+                out.extend(
+                    raw.chunks_exact(4)
+                        .filter_map(|c| c.try_into().ok())
+                        .map(f32::from_le_bytes),
+                );
+                Ok(out)
             };
-            let w = Tensor::from_vec(read_f32s(&mut pos, d_out * d_in)?, &[d_out, d_in]);
+            let w = Tensor::from_vec(read_f32s(&mut pos, n_w)?, &[d_out, d_in]);
             let b = Tensor::from_vec(read_f32s(&mut pos, d_out)?, &[d_out]);
             let mut layer = Linear::new(d_in, d_out, &mut rng);
             layer.set_weights(w, b);
@@ -586,6 +601,33 @@ mod tests {
             err.contains("mismatch") || err.contains("truncated"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn wrapping_layer_dimensions_are_rejected() {
+        // d_in = d_out = 2^31: `d_out·d_in·4` wraps to 0 in usize, so an
+        // unchecked decode reads zero weight bytes and then builds a
+        // 2^31 × 2^31 tensor from them.
+        let header = |n_layers: u32, split: u32| {
+            let mut b = b"NDPM".to_vec();
+            for v in [n_layers, split, 1 << 31, 1 << 31] {
+                b.extend_from_slice(&v.to_le_bytes());
+            }
+            b
+        };
+        let blob = header(2, 1);
+        assert_eq!(blob.len(), 20);
+        assert!(Mlp::from_bytes(&blob).is_err());
+        // One layer, padded so the layer-count bound passes and the
+        // dimension check itself must refuse.
+        let mut padded = header(1, 0);
+        padded.extend_from_slice(&[0; 16]);
+        assert!(Mlp::from_bytes(&padded).is_err());
+        // A layer count the blob cannot hold fails before allocating.
+        let mut many = b"NDPM".to_vec();
+        many.extend_from_slice(&u32::MAX.to_le_bytes());
+        many.extend_from_slice(&0u32.to_le_bytes());
+        assert!(Mlp::from_bytes(&many).is_err());
     }
 
     #[test]

@@ -206,6 +206,30 @@ impl Config {
                     file_suffix: "telemetry/src/snapshot.rs".into(),
                     filter: FnFilter::All,
                 },
+                // The byte reader every peer-supplied format decodes
+                // through, and the decoders `handle` reaches: a crafted
+                // InstallModel, ApplyDelta or placement payload must come
+                // back as an error reply, not kill a server worker.
+                Zone {
+                    file_suffix: "telemetry/src/codec.rs".into(),
+                    filter: FnFilter::All,
+                },
+                Zone {
+                    file_suffix: "core/src/placement.rs".into(),
+                    filter: FnFilter::Named(vec!["from_bytes".into()]),
+                },
+                Zone {
+                    file_suffix: "core/src/checknrun.rs".into(),
+                    filter: FnFilter::Named(vec![
+                        "from_bytes".into(),
+                        "apply".into(),
+                        "dequantize".into(),
+                    ]),
+                },
+                Zone {
+                    file_suffix: "dnn/src/mlp.rs".into(),
+                    filter: FnFilter::Named(vec!["from_bytes".into()]),
+                },
                 // The shared worker pool: every parallel kernel funnels
                 // through it, and a panic that escapes the pool's own
                 // machinery (rather than being contained per-task and

@@ -17,8 +17,10 @@
 //!   merged across machines (the Tuner scrapes every PipeStore over RPC
 //!   and folds the snapshots into one cluster-wide view), rendered as
 //!   Prometheus text exposition ([`Snapshot::to_prometheus`]) or JSON
-//!   ([`Snapshot::to_json`]), and shipped over the hand-rolled wire
-//!   format ([`Snapshot::to_bytes`]).
+//!   ([`Snapshot::to_json`]), and shipped over the wire
+//!   ([`Snapshot::to_bytes`]),
+//! - [`codec`] — the bounds-checked little-endian reader and writers
+//!   every peer-supplied byte format in the workspace decodes through.
 //!
 //! Hot-path cost is one relaxed atomic RMW per counter update and a few
 //! per histogram observation; instrumented call sites additionally gate
@@ -44,6 +46,7 @@
 //! assert!(telemetry::export::validate_json(&snap.to_json()).is_ok());
 //! ```
 
+pub mod codec;
 pub mod export;
 pub mod metrics;
 pub mod registry;

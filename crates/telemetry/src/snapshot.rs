@@ -5,6 +5,8 @@
 //! the `Metrics` RPC op, tags each with a peer label, and folds them
 //! with [`Snapshot::merge_from`] into a single cluster-wide view.
 
+use crate::codec::{put_f64, put_str, put_u32, put_u64, Reader};
+
 /// One metric's point-in-time value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
@@ -242,7 +244,7 @@ impl Snapshot {
     }
 
     /// Encodes the snapshot for the RPC scrape path (little-endian,
-    /// matching the repo's hand-rolled wire idiom).
+    /// through [`crate::codec`]).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 * self.samples.len() + 8);
         put_u32(&mut out, self.samples.len() as u32);
@@ -286,23 +288,18 @@ impl Snapshot {
     ///
     /// A static description of the first malformation found.
     pub fn from_bytes(buf: &[u8]) -> Result<Snapshot, &'static str> {
-        let mut c = Reader { buf, pos: 0 };
-        let n = c.u32()? as usize;
-        // Each sample needs ≥ 13 bytes (two empty strings, no labels,
-        // counter): reject absurd counts before allocating.
-        if n > buf.len() / 13 + 1 {
-            return Err("sample count larger than payload");
-        }
+        let mut c = Reader::new(buf);
+        // Smallest sample: two empty strings, no labels, a counter.
+        let n = c.count(4 + 4 + 4 + 1 + 8)?;
         let mut samples = Vec::with_capacity(n);
         for _ in 0..n {
             let name = c.string()?;
             let help = c.string()?;
-            let n_labels = c.u32()? as usize;
-            let mut labels = Vec::with_capacity(n_labels.min(64));
+            // A label is two strings, each at least its length prefix.
+            let n_labels = c.count(8)?;
+            let mut labels = Vec::with_capacity(n_labels);
             for _ in 0..n_labels {
-                let k = c.string()?;
-                let v = c.string()?;
-                labels.push((k, v));
+                labels.push((c.string()?, c.string()?));
             }
             let value = match c.u8()? {
                 0 => SampleValue::Counter(c.u64()?),
@@ -312,12 +309,10 @@ impl Snapshot {
                     let sum = c.f64()?;
                     let min = c.f64()?;
                     let max = c.f64()?;
-                    let nb = c.u32()? as usize;
-                    let mut buckets = Vec::with_capacity(nb.min(crate::metrics::BUCKETS));
+                    let nb = c.count(16)?;
+                    let mut buckets = Vec::with_capacity(nb);
                     for _ in 0..nb {
-                        let upper = c.f64()?;
-                        let n = c.u64()?;
-                        buckets.push((upper, n));
+                        buckets.push((c.f64()?, c.u64()?));
                     }
                     SampleValue::Histogram(HistogramSnapshot {
                         count,
@@ -336,79 +331,8 @@ impl Snapshot {
                 value,
             });
         }
-        if c.pos != buf.len() {
-            return Err("trailing bytes in snapshot");
-        }
+        c.finish()?;
         Ok(Snapshot { samples })
-    }
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], &'static str> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or("snapshot payload truncated")?;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or("snapshot payload truncated")?;
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, &'static str> {
-        self.take(1)?
-            .first()
-            .copied()
-            .ok_or("snapshot payload truncated")
-    }
-    fn u32(&mut self) -> Result<u32, &'static str> {
-        let b: [u8; 4] = self
-            .take(4)?
-            .try_into()
-            .map_err(|_| "snapshot payload truncated")?;
-        Ok(u32::from_le_bytes(b))
-    }
-    fn u64(&mut self) -> Result<u64, &'static str> {
-        let b: [u8; 8] = self
-            .take(8)?
-            .try_into()
-            .map_err(|_| "snapshot payload truncated")?;
-        Ok(u64::from_le_bytes(b))
-    }
-    fn f64(&mut self) -> Result<f64, &'static str> {
-        let b: [u8; 8] = self
-            .take(8)?
-            .try_into()
-            .map_err(|_| "snapshot payload truncated")?;
-        Ok(f64::from_le_bytes(b))
-    }
-    fn string(&mut self) -> Result<String, &'static str> {
-        let n = self.u32()? as usize;
-        let raw = self.take(n)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| "snapshot string not utf-8")
     }
 }
 

@@ -17,6 +17,10 @@ NDPIPE_MATH=fast cargo test -q --workspace
 # every correctness check) are what catches a public-API change that
 # would stop BENCHMARK.json's command from compiling.
 cargo test -q --offline --manifest-path ledger/Cargo.toml
+# The ledger is frozen outside benchmark changes. Cargo silently rewrites
+# ledger/Cargo.lock when a path crate's dependency list changes, so a new
+# edge between workspace crates fails here instead of in the benchmark run.
+git diff --exit-code -- ledger/
 # Static pass: machine-readable report diffed against the checked-in
 # baseline (fails on new findings), archived next to the bench JSON,
 # plus the wall-clock budget artifact (< 5 s for the whole workspace).

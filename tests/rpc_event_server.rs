@@ -1,6 +1,6 @@
 //! The event-driven RPC front door under concurrency: session-slot
 //! reaping on abort, client-side request pipelining, malformed-frame
-//! handling, the work-conserving `Infer` batcher over real sockets, and
+//! and crafted-model handling, the work-conserving `Infer` batcher over real sockets, and
 //! an (ignored-by-default) thousand-session soak that `scripts/check.sh`
 //! runs explicitly.
 
@@ -168,15 +168,11 @@ fn batch_path_errors_reach_the_client_and_the_session_survives() {
     server.shutdown().expect("clean server stop");
 }
 
-#[test]
-fn malformed_request_body_gets_structured_error_and_session_survives() {
-    let mut rng = StdRng::seed_from_u64(603);
-    let server = bind_server(&mut rng);
-
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
+/// A raw socket session past the handshake, with a read timeout so a
+/// reply that never comes fails the test instead of hanging it.
+fn raw_session(addr: std::net::SocketAddr, timeout: Duration) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(timeout)).expect("timeout");
     write_handshake(
         &mut stream,
         &Handshake::Hello {
@@ -189,6 +185,15 @@ fn malformed_request_body_gets_structured_error_and_session_survives() {
         Handshake::Accept { .. } => {}
         other => panic!("expected accept, got {other:?}"),
     }
+    stream
+}
+
+#[test]
+fn malformed_request_body_gets_structured_error_and_session_survives() {
+    let mut rng = StdRng::seed_from_u64(603);
+    let server = bind_server(&mut rng);
+
+    let mut stream = raw_session(server.local_addr(), Duration::from_secs(10));
 
     // A well-formed frame (honest length prefix) around a body the
     // request decoder must reject: unknown tag, three junk bytes.
@@ -219,6 +224,39 @@ fn malformed_request_body_gets_structured_error_and_session_survives() {
     server
         .shutdown()
         .expect("malformed body must not poison shutdown");
+}
+
+/// A 20-byte model blob whose first layer claims `2^31 × 2^31` weights:
+/// the weight byte count `d_out·d_in·4` wraps to zero in `usize`. More such
+/// installs than the server has workers must each get an error reply,
+/// and the server must still answer afterwards — a decode that panics
+/// would take a worker thread with it.
+#[test]
+fn crafted_model_blobs_cannot_kill_the_worker_pool() {
+    let mut rng = StdRng::seed_from_u64(608);
+    let server = bind_server(&mut rng);
+    let mut blob = b"NDPM".to_vec();
+    for v in [2u32, 1, 1 << 31, 1 << 31] {
+        blob.extend_from_slice(&v.to_le_bytes());
+    }
+
+    for _ in 0..ServerConfig::default().workers + 1 {
+        let mut stream = raw_session(server.local_addr(), Duration::from_secs(3));
+        write_request(&mut stream, &Request::InstallModel(blob.clone())).expect("install");
+        match read_reply(&mut stream).expect("install reply").0 {
+            Reply::Error(msg) => assert!(msg.contains("bad model blob"), "{msg}"),
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+    }
+
+    let mut stream = raw_session(server.local_addr(), Duration::from_secs(3));
+    write_request(&mut stream, &Request::Describe).expect("describe");
+    match read_reply(&mut stream).expect("describe reply").0 {
+        Reply::ShardInfo { .. } => {}
+        other => panic!("expected shard info, got {other:?}"),
+    }
+    drop(stream);
+    server.shutdown().expect("clean server stop");
 }
 
 /// `(count, sum)` of the `ndpipe_rpc_batch_size` histogram and the
