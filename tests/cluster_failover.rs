@@ -6,10 +6,13 @@
 
 use dnn::{Mlp, TrainConfig};
 use ndpipe::ftdmp::FtdmpConfig;
-use ndpipe::rpc::wire::{read_handshake, write_handshake, Handshake, PhotoRecord, PROTOCOL_VERSION};
+use ndpipe::rpc::wire::{
+    read_handshake, read_request, write_handshake, write_reply, Handshake, PhotoRecord, Reply,
+    Request, PROTOCOL_VERSION,
+};
 use ndpipe::rpc::{
-    Cluster, ClusterError, ConnectOptions, FailurePolicy, PipeStoreServer, RebalanceConfig,
-    RemotePipeStore, RpcError, ServerConfig,
+    Cluster, ClusterError, ConnectOptions, FailurePolicy, Fanout, PeerFailure, PipeStoreServer,
+    RebalanceConfig, RemotePipeStore, RpcError, ServerConfig,
 };
 use ndpipe::{PipeStore, PlacementMap, Tuner};
 use ndpipe_data::{ClassUniverse, LabeledDataset};
@@ -284,6 +287,155 @@ fn quorum_wider_than_fleet_is_a_config_error() {
         matches!(err, ClusterError::Config(_)),
         "expected Config, got {err:?}"
     );
+}
+
+/// One request a fake peer saw: its op label, plus the `node` of an
+/// `ExtractSlice`.
+type Seen = (&'static str, Option<u64>);
+
+/// A fake PipeStore with store id `store_id`: accepts one session,
+/// records every request and answers each with `Reply::Label(7)` — a
+/// shape no fan-out asks for.
+fn wrong_shape_peer(listener: TcpListener, store_id: u64) -> Vec<Seen> {
+    let (mut s, _) = listener.accept().expect("accept");
+    match read_handshake(&mut s).expect("client hello") {
+        Handshake::Hello { .. } => {}
+        other => panic!("expected Hello, got {other:?}"),
+    }
+    write_handshake(
+        &mut s,
+        &Handshake::Accept {
+            version: PROTOCOL_VERSION,
+            features: 0,
+            store_id,
+        },
+    )
+    .expect("send accept");
+    let mut seen = Vec::new();
+    while let Ok((req, _)) = read_request(&mut s) {
+        let node = match req {
+            Request::ExtractSlice { node, .. } => Some(node),
+            _ => None,
+        };
+        seen.push((req.op_name(), node));
+        if write_reply(&mut s, &Reply::Label(7)).is_err() {
+            break;
+        }
+    }
+    seen
+}
+
+/// Exactly one `Protocol` failure labelled `op` per peer of a 2-peer
+/// cluster.
+fn assert_shape_failures(failures: &[PeerFailure], op: &str) {
+    let mut peers: Vec<usize> = failures.iter().map(|f| f.index).collect();
+    peers.sort_unstable();
+    assert_eq!(peers, [0, 1], "{op}: {failures:?}");
+    for f in failures {
+        assert_eq!(f.op, op);
+        assert!(
+            matches!(f.error, RpcError::Protocol(_)),
+            "{op}: expected a protocol error, got {:?}",
+            f.error
+        );
+    }
+}
+
+fn assert_fanout_failed<T>(fan: Fanout<T>, op: &str) {
+    assert!(fan.ok.is_empty(), "{op} accepted a wrong reply shape");
+    assert_shape_failures(&fan.failures, op);
+}
+
+fn assert_rejected<T>(result: Result<T, ClusterError>, op: &str) {
+    match result {
+        Err(ClusterError::Rejected { ok, failures, .. }) => {
+            assert_eq!(ok, 0, "{op}");
+            assert_shape_failures(&failures, op);
+        }
+        Err(other) => panic!("{op}: expected Rejected, got {other}"),
+        Ok(_) => panic!("{op} succeeded against peers that answer the wrong shape"),
+    }
+}
+
+/// Pins every public fan-out against peers that answer the wrong reply
+/// shape: each must fail per peer with `RpcError::Protocol` under its
+/// op label, and peer `i` must be asked to extract node `i`'s shard.
+#[test]
+fn every_fanout_reports_a_wrong_reply_shape_per_peer() {
+    let mut fakes = Vec::new();
+    let mut addrs = Vec::new();
+    for store_id in 0..2u64 {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake peer");
+        addrs.push(listener.local_addr().expect("local addr").to_string());
+        fakes.push(std::thread::spawn(move || {
+            wrong_shape_peer(listener, store_id)
+        }));
+    }
+    let cluster = Cluster::builder()
+        .connect_options(fast_opts())
+        .connect(&addrs)
+        .expect("connect to fake peers");
+
+    let mut rng = StdRng::seed_from_u64(207);
+    let model = Mlp::new(&[16, 12, 4], 1, &mut rng);
+    let cfg = TrainConfig::default();
+    let mut tuner = Tuner::new(model.clone(), cfg);
+    let delta = tuner.delta_from(&model);
+    let map = PlacementMap::new(&[0, 1], 2).expect("placement map");
+    let ft = FtdmpConfig {
+        n_run: 1,
+        train: cfg,
+        ..FtdmpConfig::default()
+    };
+
+    assert_fanout_failed(cluster.install_model(&model), "install_model");
+    assert_fanout_failed(cluster.extract_features(0, 1), "extract_slice");
+    assert_fanout_failed(cluster.offline_infer(), "offline_infer");
+    assert_fanout_failed(cluster.apply_delta(&delta), "apply_delta");
+    assert_fanout_failed(cluster.describe(), "describe");
+    assert_fanout_failed(cluster.scrape(), "metrics");
+    assert_rejected(cluster.scrape_metrics(), "metrics");
+    assert_fanout_failed(cluster.placement(), "placement");
+    assert_fanout_failed(cluster.publish_placement(&map), "install_placement");
+    assert_fanout_failed(cluster.put_photo(&map, &photo(3)), "put_photo");
+    assert_rejected(cluster.get_photo(&map, 3), "get_photo");
+    assert_fanout_failed(cluster.list_photos(), "list_photos");
+    assert_rejected(
+        cluster.rebalance(&map, &map, &RebalanceConfig::default()),
+        "install_placement",
+    );
+    assert_rejected(
+        cluster.ftdmp_fine_tune_pipelined(&mut tuner, &ft, 1, &mut rng, Some(&map)),
+        "describe",
+    );
+    assert_fanout_failed(cluster.shutdown(), "shutdown");
+
+    let expected = [
+        "install_model",
+        "extract_slice",
+        "offline_infer",
+        "apply_delta",
+        "describe",
+        "metrics",
+        "metrics",
+        "placement",
+        "install_placement",
+        "put_photo",
+        "get_photo",
+        "list_photos",
+        "install_placement",
+        "describe",
+        "shutdown",
+    ];
+    for (i, fake) in fakes.into_iter().enumerate() {
+        let seen = fake.join().expect("fake peer");
+        let ops: Vec<&str> = seen.iter().map(|&(op, _)| op).collect();
+        assert_eq!(ops, expected, "peer {i} saw the wrong requests");
+        for &(op, node) in &seen {
+            let want = (op == "extract_slice").then_some(i as u64);
+            assert_eq!(node, want, "peer {i}: {op} targeted the wrong node");
+        }
+    }
 }
 
 #[test]
