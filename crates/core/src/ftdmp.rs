@@ -34,7 +34,7 @@ pub mod schedule;
 use crate::npe::engine::EngineConfig;
 use crate::pipestore::PipeStore;
 use crate::tuner::Tuner;
-use dnn::TrainConfig;
+use dnn::{Mlp, TrainConfig};
 use rand::Rng;
 use schedule::{slice_bounds, Schedule, SliceTask};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -211,6 +211,38 @@ pub struct FtdmpReport {
     pub schedule: ScheduleStats,
 }
 
+/// The one shard-fitness rule, for a local store and a remote one's
+/// `Describe`/`DescribeNode` alike: store `store`'s shard of `examples`
+/// rows over `classes` labels can feed an `n_run`-deep job that trains
+/// `model`.
+///
+/// # Errors
+///
+/// [`FtdmpError::ShardTooSmall`] or [`FtdmpError::ClassOverflow`].
+pub(crate) fn check_shard(
+    store: usize,
+    examples: usize,
+    classes: usize,
+    config: &FtdmpConfig,
+    model: &Mlp,
+) -> Result<(), FtdmpError> {
+    if examples < config.n_run {
+        return Err(FtdmpError::ShardTooSmall {
+            store,
+            shard_len: examples,
+            n_run: config.n_run,
+        });
+    }
+    if classes > model.num_classes() {
+        return Err(FtdmpError::ClassOverflow {
+            store,
+            shard_classes: classes,
+            model_classes: model.num_classes(),
+        });
+    }
+    Ok(())
+}
+
 fn validate(
     tuner: &Tuner,
     stores: &[PipeStore],
@@ -223,24 +255,20 @@ fn validate(
         return Err(FtdmpError::ZeroRuns);
     }
     for s in stores {
-        if s.shard_len() < config.n_run {
-            return Err(FtdmpError::ShardTooSmall {
-                store: s.id(),
-                shard_len: s.shard_len(),
-                n_run: config.n_run,
-            });
-        }
-        if s.shard().num_classes() > tuner.model().num_classes() {
-            return Err(FtdmpError::ClassOverflow {
-                store: s.id(),
-                shard_classes: s.shard().num_classes(),
-                model_classes: tuner.model().num_classes(),
-            });
-        }
-        if s.shard().input_dim() != tuner.model().input_dim() {
+        let shard = s.shard();
+        check_shard(
+            s.id(),
+            shard.len(),
+            shard.num_classes(),
+            config,
+            tuner.model(),
+        )?;
+        // Over sockets the store enforces this one: `ShardDesc` carries
+        // no width, and `ExtractSlice` refuses a model of another width.
+        if shard.input_dim() != tuner.model().input_dim() {
             return Err(FtdmpError::FeatureWidthMismatch {
                 store: s.id(),
-                shard_width: s.shard().input_dim(),
+                shard_width: shard.input_dim(),
                 model_width: tuner.model().input_dim(),
             });
         }
@@ -601,7 +629,7 @@ pub fn ftdmp_fine_tune_reference<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnn::{Mlp, Trainer};
+    use dnn::Trainer;
     use ndpipe_data::{ClassUniverse, LabeledDataset};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -3,11 +3,9 @@
 //! [`RemotePipeStore::finish_infer`]) that keeps many `Infer` rows on
 //! the wire at once against the event-driven server.
 
-use crate::checknrun::ModelDelta;
-use crate::placement::PlacementMap;
 use crate::rpc::wire::{
-    read_handshake, read_reply, write_handshake, write_request, write_request_noflush, Handshake,
-    PhotoRecord, Reply, Request, ShardDesc, FEATURE_DELTAS, FEATURE_METRICS,
+    read_handshake, read_reply, write_handshake, write_request, write_request_noflush, FromReply,
+    Handshake, PhotoRecord, Reply, Request, ShardDesc, FEATURE_DELTAS, FEATURE_METRICS,
     FEATURE_MULTI_SESSION, PROTOCOL_VERSION,
 };
 use crate::rpc::RpcError;
@@ -314,7 +312,15 @@ impl RemotePipeStore {
         (self.sent_bytes, self.recv_bytes)
     }
 
-    fn call(&mut self, req: &Request) -> Result<Reply, RpcError> {
+    /// Sends one request and reads its reply as `T` — the one blocking
+    /// round-trip every typed method below is.
+    ///
+    /// # Errors
+    ///
+    /// Socket/framing errors, [`RpcError::Remote`] for an error reply,
+    /// and [`RpcError::Protocol`] for a reply of another shape or while
+    /// pipelined `Infer` replies are outstanding.
+    pub fn call<T: FromReply>(&mut self, req: &Request) -> Result<T, RpcError> {
         if self.pending > 0 {
             // A blocking call would read a pipelined reply as its own.
             return Err(RpcError::Protocol(
@@ -368,14 +374,7 @@ impl RemotePipeStore {
                 op,
                 msg,
             }),
-            reply => Ok(reply),
-        }
-    }
-
-    fn expect_ack(&mut self, req: &Request) -> Result<(), RpcError> {
-        match self.call(req)? {
-            Reply::Ack => Ok(()),
-            _ => Err(RpcError::Protocol("expected ack")),
+            reply => reply.into_typed(),
         }
     }
 
@@ -385,17 +384,7 @@ impl RemotePipeStore {
     ///
     /// Socket/protocol/remote errors.
     pub fn install_model(&mut self, model: &Mlp) -> Result<(), RpcError> {
-        self.expect_ack(&Request::InstallModel(model.to_bytes()))
-    }
-
-    /// Installs an already-serialized model blob (lets a cluster fan-out
-    /// serialize the master once, not once per peer).
-    ///
-    /// # Errors
-    ///
-    /// Socket/protocol/remote errors.
-    pub fn install_model_bytes(&mut self, model: &[u8]) -> Result<(), RpcError> {
-        self.expect_ack(&Request::InstallModel(model.to_vec()))
+        self.call(&Request::InstallModel(model.to_bytes()))
     }
 
     /// Asks the store to extract features for pipeline run `run` of
@@ -409,7 +398,13 @@ impl RemotePipeStore {
         run: u32,
         n_run: u32,
     ) -> Result<(Tensor, Vec<usize>), RpcError> {
-        self.extract_slice(self.store_id, run, n_run, 0, 1)
+        self.call(&Request::ExtractSlice {
+            node: self.store_id,
+            run,
+            n_run,
+            mb: 0,
+            n_mb: 1,
+        })
     }
 
     /// Runs near-data offline inference; only `(photo, label)` pairs come
@@ -419,28 +414,7 @@ impl RemotePipeStore {
     ///
     /// Socket/protocol/remote errors.
     pub fn offline_infer(&mut self) -> Result<Vec<(u64, u32)>, RpcError> {
-        match self.call(&Request::OfflineInfer)? {
-            Reply::Labels(pairs) => Ok(pairs),
-            _ => Err(RpcError::Protocol("expected labels")),
-        }
-    }
-
-    /// Ships a Check-N-Run delta to upgrade the remote replica.
-    ///
-    /// # Errors
-    ///
-    /// Socket/protocol/remote errors.
-    pub fn apply_delta(&mut self, delta: &ModelDelta) -> Result<(), RpcError> {
-        self.expect_ack(&Request::ApplyDelta(delta.to_bytes()))
-    }
-
-    /// Ships an already-serialized Check-N-Run delta blob.
-    ///
-    /// # Errors
-    ///
-    /// Socket/protocol/remote errors.
-    pub fn apply_delta_bytes(&mut self, delta: &[u8]) -> Result<(), RpcError> {
-        self.expect_ack(&Request::ApplyDelta(delta.to_vec()))
+        self.call(&Request::OfflineInfer)
     }
 
     /// Fetches the store's shard metadata: example/class counts plus the
@@ -450,10 +424,7 @@ impl RemotePipeStore {
     ///
     /// Socket/protocol/remote errors.
     pub fn describe(&mut self) -> Result<ShardDesc, RpcError> {
-        match self.call(&Request::Describe)? {
-            Reply::ShardInfo(desc) => Ok(desc),
-            _ => Err(RpcError::Protocol("expected shard info")),
-        }
+        self.call(&Request::Describe)
     }
 
     /// Scrapes the store's telemetry registry: one point-in-time
@@ -463,33 +434,7 @@ impl RemotePipeStore {
     ///
     /// Socket/protocol/remote errors.
     pub fn scrape(&mut self) -> Result<telemetry::Snapshot, RpcError> {
-        match self.call(&Request::Metrics)? {
-            Reply::Metrics(snapshot) => Ok(snapshot),
-            _ => Err(RpcError::Protocol("expected metrics")),
-        }
-    }
-
-    /// Fetches the placement map the store holds (an error reply when
-    /// none was ever published to it).
-    ///
-    /// # Errors
-    ///
-    /// Socket/protocol/remote errors.
-    pub fn placement(&mut self) -> Result<PlacementMap, RpcError> {
-        match self.call(&Request::Placement)? {
-            Reply::Placement(map) => Ok(map),
-            _ => Err(RpcError::Protocol("expected placement map")),
-        }
-    }
-
-    /// Publishes an epoch-numbered placement map to the store. Stale
-    /// epochs come back as a remote error.
-    ///
-    /// # Errors
-    ///
-    /// Socket/protocol/remote errors.
-    pub fn install_placement(&mut self, map: &PlacementMap) -> Result<(), RpcError> {
-        self.expect_ack(&Request::InstallPlacement(map.clone()))
+        self.call(&Request::Metrics)
     }
 
     /// Stores one replicated photo record on the remote store.
@@ -498,7 +443,7 @@ impl RemotePipeStore {
     ///
     /// Socket/protocol/remote errors.
     pub fn put_photo(&mut self, rec: &PhotoRecord) -> Result<(), RpcError> {
-        self.expect_ack(&Request::PutPhoto(rec.clone()))
+        self.call(&Request::PutPhoto(rec.clone()))
     }
 
     /// Reads one photo record by id.
@@ -508,10 +453,7 @@ impl RemotePipeStore {
     /// Socket/protocol/remote errors (a missing photo is a remote
     /// error).
     pub fn get_photo(&mut self, id: u64) -> Result<PhotoRecord, RpcError> {
-        match self.call(&Request::GetPhoto(id))? {
-            Reply::Photo(rec) => Ok(rec),
-            _ => Err(RpcError::Protocol("expected photo record")),
-        }
+        self.call(&Request::GetPhoto(id))
     }
 
     /// Lists the photo ids the store holds, ascending.
@@ -520,56 +462,7 @@ impl RemotePipeStore {
     ///
     /// Socket/protocol/remote errors.
     pub fn list_photos(&mut self) -> Result<Vec<u64>, RpcError> {
-        match self.call(&Request::ListPhotos)? {
-            Reply::PhotoIds(ids) => Ok(ids),
-            _ => Err(RpcError::Protocol("expected photo ids")),
-        }
-    }
-
-    /// Extracts micro-batch `mb` of `n_mb` within run `run` of `n_run`
-    /// over node `node`'s shard (the store's own or a held replica) —
-    /// the streaming extract of the FT-DMP schedule, doubling as the
-    /// straggler-steal and dead-owner reroute call when `node` is not the
-    /// store's id.
-    ///
-    /// # Errors
-    ///
-    /// Socket/protocol/remote errors (no shard for `node` or an empty
-    /// slice is a remote error).
-    pub fn extract_slice(
-        &mut self,
-        node: u64,
-        run: u32,
-        n_run: u32,
-        mb: u32,
-        n_mb: u32,
-    ) -> Result<(Tensor, Vec<usize>), RpcError> {
-        match self.call(&Request::ExtractSlice {
-            node,
-            run,
-            n_run,
-            mb,
-            n_mb,
-        })? {
-            Reply::Features { features, labels } => {
-                Ok((features, labels.into_iter().map(|l| l as usize).collect()))
-            }
-            _ => Err(RpcError::Protocol("expected features")),
-        }
-    }
-
-    /// Fetches shard metadata for node `node`'s shard on this store
-    /// (own shard or a held replica).
-    ///
-    /// # Errors
-    ///
-    /// Socket/protocol/remote errors (no shard for `node` is a remote
-    /// error).
-    pub fn describe_node(&mut self, node: u64) -> Result<ShardDesc, RpcError> {
-        match self.call(&Request::DescribeNode(node))? {
-            Reply::ShardInfo(desc) => Ok(desc),
-            _ => Err(RpcError::Protocol("expected shard info")),
-        }
+        self.call(&Request::ListPhotos)
     }
 
     /// Classifies one feature row on the remote store (one blocking
@@ -580,12 +473,9 @@ impl RemotePipeStore {
     ///
     /// Socket/protocol/remote errors.
     pub fn infer(&mut self, features: &[f32]) -> Result<u32, RpcError> {
-        match self.call(&Request::Infer {
+        self.call(&Request::Infer {
             features: features.to_vec(),
-        })? {
-            Reply::Label(l) => Ok(l),
-            _ => Err(RpcError::Protocol("expected label")),
-        }
+        })
     }
 
     /// Queues one `Infer` on the wire without waiting for its reply,
@@ -664,7 +554,6 @@ impl RemotePipeStore {
                 recv_total += n as u64;
                 pending -= 1;
                 match reply {
-                    Reply::Label(l) => out.push(l),
                     Reply::Error(msg) => {
                         if first_remote.is_none() {
                             first_remote = Some(RpcError::Remote {
@@ -674,7 +563,7 @@ impl RemotePipeStore {
                             });
                         }
                     }
-                    _ => return Err(RpcError::Protocol("expected label")),
+                    reply => out.push(reply.into_typed()?),
                 }
             }
             match first_remote {
@@ -736,7 +625,7 @@ impl RemotePipeStore {
             // transport is really gone).
             let _ = self.finish_infer();
         }
-        let r = self.expect_ack(&Request::Shutdown);
+        let r = self.call(&Request::Shutdown);
         self.io = None;
         r
     }

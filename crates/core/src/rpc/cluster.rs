@@ -12,10 +12,12 @@
 
 use crate::checknrun::ModelDelta;
 use crate::ftdmp::schedule::{Schedule, SliceTask};
-use crate::ftdmp::{record_job, FtdmpConfig, FtdmpError, FtdmpReport, Origin, ScheduleStats};
+use crate::ftdmp::{
+    check_shard, record_job, FtdmpConfig, FtdmpError, FtdmpReport, Origin, ScheduleStats,
+};
 use crate::placement::PlacementMap;
 use crate::rpc::client::{ConnectOptions, RemotePipeStore};
-use crate::rpc::wire::{PhotoRecord, ShardDesc};
+use crate::rpc::wire::{FromReply, PhotoRecord, Reply, Request, ShardDesc};
 use crate::rpc::RpcError;
 use crate::tuner::Tuner;
 use dnn::Mlp;
@@ -263,68 +265,6 @@ pub struct RebalanceReport {
     pub failures: Vec<PeerFailure>,
 }
 
-/// A control operation fanned out to peers. Blobs are `Arc`-shared so a
-/// model serialized once is not copied per peer.
-#[derive(Clone)]
-enum PeerOp {
-    InstallModel(Arc<[u8]>),
-    /// `node: None` is the peer's own shard (its handshake store id).
-    ExtractSlice {
-        node: Option<u64>,
-        run: u32,
-        n_run: u32,
-        mb: u32,
-        n_mb: u32,
-    },
-    DescribeNode(u64),
-    OfflineInfer,
-    ApplyDelta(Arc<[u8]>),
-    Describe,
-    Scrape,
-    Placement,
-    InstallPlacement(Arc<PlacementMap>),
-    PutPhoto(Arc<PhotoRecord>),
-    GetPhoto(u64),
-    ListPhotos,
-    EndSession,
-}
-
-impl PeerOp {
-    /// Metric label; matches `Request::op_name` on the wire layer.
-    fn name(&self) -> &'static str {
-        match self {
-            PeerOp::InstallModel(_) => "install_model",
-            PeerOp::ExtractSlice { .. } => "extract_slice",
-            PeerOp::DescribeNode(_) => "describe_node",
-            PeerOp::OfflineInfer => "offline_infer",
-            PeerOp::ApplyDelta(_) => "apply_delta",
-            PeerOp::Describe => "describe",
-            PeerOp::Scrape => "metrics",
-            PeerOp::Placement => "placement",
-            PeerOp::InstallPlacement(_) => "install_placement",
-            PeerOp::PutPhoto(_) => "put_photo",
-            PeerOp::GetPhoto(_) => "get_photo",
-            PeerOp::ListPhotos => "list_photos",
-            PeerOp::EndSession => "shutdown",
-        }
-    }
-}
-
-/// A successful per-peer operation result, still untyped.
-enum PeerOk {
-    Ack,
-    Features {
-        features: Tensor,
-        labels: Vec<usize>,
-    },
-    Labels(Vec<(u64, u32)>),
-    Shard(ShardDesc),
-    Metrics(telemetry::Snapshot),
-    Placement(PlacementMap),
-    Photo(PhotoRecord),
-    PhotoIds(Vec<u64>),
-}
-
 struct WorkerReply {
     index: usize,
     peer: SocketAddr,
@@ -332,12 +272,14 @@ struct WorkerReply {
     attempts: u32,
     sent_bytes: u64,
     recv_bytes: u64,
-    result: Result<PeerOk, RpcError>,
+    result: Result<Reply, RpcError>,
 }
 
 enum Job {
+    /// One request for this peer. The `Arc` is shared by every peer of a
+    /// fan-out, so a model, delta, map or photo is allocated once.
     Op {
-        op: PeerOp,
+        req: Arc<Request>,
         attempts: u32,
         done: mpsc::SyncSender<WorkerReply>,
     },
@@ -350,19 +292,20 @@ struct PeerSlot {
     thread: Option<JoinHandle<RemotePipeStore>>,
 }
 
-/// Executes `op` against one peer with bounded retry: transport errors
+/// Executes `req` against one peer with bounded retry: transport errors
 /// drop the session and reconnect (the peer may have restarted); remote
 /// application errors and protocol violations are final. Exhausted
 /// retries collapse into [`RpcError::PeerUnavailable`].
 fn run_op(
     remote: &mut RemotePipeStore,
-    op: &PeerOp,
+    req: &Request,
     max_attempts: u32,
-) -> (Result<PeerOk, RpcError>, u32) {
+) -> (Result<Reply, RpcError>, u32) {
+    let shutdown = matches!(req, Request::Shutdown);
     // Ending a session that is already gone is a no-op, not a failure,
     // and must not trigger a pointless reconnect.
-    if matches!(op, PeerOp::EndSession) && !remote.is_connected() {
-        return (Ok(PeerOk::Ack), 0);
+    if shutdown && !remote.is_connected() {
+        return (Ok(Reply::Ack), 0);
     }
     let max = max_attempts.max(1);
     let mut last_io: Option<std::io::Error> = None;
@@ -382,8 +325,14 @@ fn run_op(
                 Err(fatal) => return (Err(fatal), attempt),
             }
         }
-        match apply(remote, op) {
-            Ok(ok) => return (Ok(ok), attempt),
+        // `end_session` drains pending infers before the `Shutdown`.
+        let result = if shutdown {
+            remote.end_session().map(|()| Reply::Ack)
+        } else {
+            remote.call(req)
+        };
+        match result {
+            Ok(reply) => return (Ok(reply), attempt),
             Err(RpcError::Io(e)) => {
                 remote.disconnect();
                 last_io = Some(e);
@@ -399,32 +348,6 @@ fn run_op(
         }),
         max,
     )
-}
-
-fn apply(remote: &mut RemotePipeStore, op: &PeerOp) -> Result<PeerOk, RpcError> {
-    match op {
-        PeerOp::InstallModel(blob) => remote.install_model_bytes(blob).map(|()| PeerOk::Ack),
-        PeerOp::OfflineInfer => remote.offline_infer().map(PeerOk::Labels),
-        PeerOp::ApplyDelta(blob) => remote.apply_delta_bytes(blob).map(|()| PeerOk::Ack),
-        PeerOp::Describe => remote.describe().map(PeerOk::Shard),
-        PeerOp::Scrape => remote.scrape().map(PeerOk::Metrics),
-        PeerOp::Placement => remote.placement().map(PeerOk::Placement),
-        PeerOp::InstallPlacement(map) => remote.install_placement(map).map(|()| PeerOk::Ack),
-        PeerOp::PutPhoto(rec) => remote.put_photo(rec).map(|()| PeerOk::Ack),
-        PeerOp::GetPhoto(id) => remote.get_photo(*id).map(PeerOk::Photo),
-        PeerOp::ListPhotos => remote.list_photos().map(PeerOk::PhotoIds),
-        PeerOp::ExtractSlice {
-            node,
-            run,
-            n_run,
-            mb,
-            n_mb,
-        } => remote
-            .extract_slice(node.unwrap_or(remote.store_id()), *run, *n_run, *mb, *n_mb)
-            .map(|(features, labels)| PeerOk::Features { features, labels }),
-        PeerOp::DescribeNode(node) => remote.describe_node(*node).map(PeerOk::Shard),
-        PeerOp::EndSession => remote.end_session().map(|()| PeerOk::Ack),
-    }
 }
 
 /// Bumps the shard-reroute counter: a read or feature extraction that
@@ -448,14 +371,18 @@ fn worker_main(
 ) -> RemotePipeStore {
     while let Ok(job) = rx.recv() {
         match job {
-            Job::Op { op, attempts, done } => {
+            Job::Op {
+                req,
+                attempts,
+                done,
+            } => {
                 let (sent_before, recv_before) = remote.wire_totals();
-                let (result, attempts) = run_op(&mut remote, &op, attempts);
+                let (result, attempts) = run_op(&mut remote, &req, attempts);
                 let (sent_after, recv_after) = remote.wire_totals();
                 let reply = WorkerReply {
                     index,
                     peer: remote.peer(),
-                    op: op.name(),
+                    op: req.op_name(),
                     attempts,
                     sent_bytes: sent_after.saturating_sub(sent_before),
                     recv_bytes: recv_after.saturating_sub(recv_before),
@@ -693,9 +620,46 @@ impl Cluster {
         &self.initial_failures
     }
 
-    /// Fans `op` out to the peers at `indices` and gathers every reply.
-    fn fanout_on(&self, indices: &[usize], op: PeerOp) -> Fanout<PeerOk> {
-        let op_name = op.name();
+    /// Every peer index, ascending.
+    fn all(&self) -> Vec<usize> {
+        (0..self.peers.len()).collect()
+    }
+
+    /// Queues `req` on peer `index`'s worker; the reply lands on `done`.
+    fn submit(
+        &self,
+        index: usize,
+        req: Arc<Request>,
+        done: &mpsc::SyncSender<WorkerReply>,
+    ) -> Result<(), PeerFailure> {
+        let op = req.op_name();
+        let job = Job::Op {
+            req,
+            attempts: self.op_attempts,
+            done: done.clone(),
+        };
+        match self.peers.get(index) {
+            Some(slot) if slot.tx.send(job).is_ok() => Ok(()),
+            Some(_) => Err(self.unreached(index, op, "peer worker is gone")),
+            None => Err(self.unreached(index, op, "peer index out of range")),
+        }
+    }
+
+    /// Fans one shared `req` out to the peers at `indices` and gathers
+    /// every reply as `T`.
+    fn fanout_on<T: FromReply>(&self, indices: &[usize], req: Request) -> Fanout<T> {
+        let req = Arc::new(req);
+        self.fanout_each(req.op_name(), indices, |_| Arc::clone(&req))
+    }
+
+    /// Sends `req_for(i)` to each peer `i` in `indices` and gathers every
+    /// reply as `T`; a reply of another shape is that peer's failure.
+    fn fanout_each<T: FromReply>(
+        &self,
+        op: &'static str,
+        indices: &[usize],
+        req_for: impl Fn(usize) -> Arc<Request>,
+    ) -> Fanout<T> {
         let t0 = Instant::now();
         // Each targeted peer sends exactly one reply per fan-out, so a
         // bound of `indices.len()` means workers never block on `done`.
@@ -703,21 +667,14 @@ impl Cluster {
         let (tx, rx) = mpsc::sync_channel(indices.len().max(1));
         let mut failures = Vec::new();
         for &index in indices {
-            let job = Job::Op {
-                op: op.clone(),
-                attempts: self.op_attempts,
-                done: tx.clone(),
-            };
-            match self.peers.get(index) {
-                Some(slot) if slot.tx.send(job).is_ok() => {}
-                Some(_) => failures.push(self.unreached(index, op_name, "peer worker is gone")),
-                None => failures.push(self.unreached(index, op_name, "peer index out of range")),
+            if let Err(f) = self.submit(index, req_for(index), &tx) {
+                failures.push(f);
             }
         }
         drop(tx);
         let mut ok = Vec::new();
         for reply in rx {
-            match reply.result {
+            match reply.result.and_then(Reply::into_typed) {
                 Ok(value) => ok.push(PeerResult {
                     index: reply.index,
                     peer: reply.peer,
@@ -726,13 +683,13 @@ impl Cluster {
                     sent_bytes: reply.sent_bytes,
                     recv_bytes: reply.recv_bytes,
                 }),
-                Err(error) => failures.push(PeerFailure {
-                    index: reply.index,
-                    peer: reply.peer.to_string(),
-                    op: reply.op,
-                    attempts: reply.attempts,
+                Err(error) => failures.push(PeerFailure::new(
+                    reply.index,
+                    reply.peer.to_string(),
+                    reply.op,
+                    reply.attempts,
                     error,
-                }),
+                )),
             }
         }
         ok.sort_by_key(|r| r.index);
@@ -742,14 +699,14 @@ impl Cluster {
             let m = telemetry::global();
             m.histogram_with(
                 "ndpipe_cluster_fanout_seconds",
-                &[("op", op_name)],
+                &[("op", op)],
                 "wall time of one cluster-wide fan-out (slowest peer)",
             )
             .observe(elapsed.as_secs_f64());
             if !failures.is_empty() {
                 m.counter_with(
                     "ndpipe_cluster_peer_failures_total",
-                    &[("op", op_name)],
+                    &[("op", op)],
                     "peer operations that failed after retries",
                 )
                 .add(failures.len() as u64);
@@ -762,96 +719,42 @@ impl Cluster {
         }
     }
 
-    fn fanout_all(&self, op: PeerOp) -> Fanout<PeerOk> {
-        let indices: Vec<usize> = (0..self.peers.len()).collect();
-        self.fanout_on(&indices, op)
-    }
-
-    /// Re-types a raw fanout, converting unexpected reply shapes into
-    /// failures rather than panicking (this file is a no-panic zone).
-    fn typed<T>(
-        raw: Fanout<PeerOk>,
-        op: &'static str,
-        mut map: impl FnMut(PeerOk) -> Option<T>,
-    ) -> Fanout<T> {
-        let mut ok = Vec::with_capacity(raw.ok.len());
-        let mut failures = raw.failures;
-        for r in raw.ok {
-            let (index, peer, attempts, sent, recv) =
-                (r.index, r.peer, r.attempts, r.sent_bytes, r.recv_bytes);
-            match map(r.value) {
-                Some(value) => ok.push(PeerResult {
-                    index,
-                    peer,
-                    value,
-                    attempts,
-                    sent_bytes: sent,
-                    recv_bytes: recv,
-                }),
-                None => failures.push(PeerFailure {
-                    index,
-                    peer: peer.to_string(),
-                    op,
-                    attempts,
-                    error: RpcError::Protocol("unexpected reply shape"),
-                }),
-            }
-        }
-        failures.sort_by_key(|f| f.index);
-        Fanout {
-            ok,
-            failures,
-            elapsed: raw.elapsed,
-        }
+    fn fanout_all<T: FromReply>(&self, req: Request) -> Fanout<T> {
+        self.fanout_on(&self.all(), req)
     }
 
     /// Installs a model replica on every peer. The model is serialized
-    /// once and the bytes shared across workers.
+    /// once and every peer's frame borrows the same bytes.
     pub fn install_model(&self, model: &Mlp) -> Fanout<()> {
-        let blob: Arc<[u8]> = model.to_bytes().into();
-        Self::typed(
-            self.fanout_all(PeerOp::InstallModel(blob)),
-            "install_model",
-            |ok| matches!(ok, PeerOk::Ack).then_some(()),
-        )
+        self.fanout_all(Request::InstallModel(model.to_bytes()))
     }
 
     /// Extracts features for pipeline run `run` of `n_run` on every peer
     /// concurrently — the fan-out that carries the paper's scaling claim.
+    /// Peer index `i` is placement node `i`: peer `i` extracts node `i`'s
+    /// shard, so the store built as node `i` must sit at index `i`.
     pub fn extract_features(&self, run: u32, n_run: u32) -> Fanout<(Tensor, Vec<usize>)> {
-        let op = PeerOp::ExtractSlice {
-            node: None,
-            run,
-            n_run,
-            mb: 0,
-            n_mb: 1,
+        let slice = |i: usize| {
+            Arc::new(Request::ExtractSlice {
+                node: i as u64,
+                run,
+                n_run,
+                mb: 0,
+                n_mb: 1,
+            })
         };
-        Self::typed(self.fanout_all(op), "extract_slice", |ok| match ok {
-            PeerOk::Features { features, labels } => Some((features, labels)),
-            _ => None,
-        })
+        self.fanout_each("extract_slice", &self.all(), slice)
     }
 
     /// Runs near-data offline inference on every peer.
     pub fn offline_infer(&self) -> Fanout<Vec<(u64, u32)>> {
-        Self::typed(
-            self.fanout_all(PeerOp::OfflineInfer),
-            "offline_infer",
-            |ok| match ok {
-                PeerOk::Labels(pairs) => Some(pairs),
-                _ => None,
-            },
-        )
+        self.fanout_all(Request::OfflineInfer)
     }
 
-    /// Ships a Check-N-Run delta to every peer (serialized once).
+    /// Ships a Check-N-Run delta to every peer (serialized once, the
+    /// bytes shared by every peer's frame).
     pub fn apply_delta(&self, delta: &ModelDelta) -> Fanout<()> {
-        let blob: Arc<[u8]> = delta.to_bytes().into();
-        Self::typed(
-            self.fanout_all(PeerOp::ApplyDelta(blob)),
-            "apply_delta",
-            |ok| matches!(ok, PeerOk::Ack).then_some(()),
-        )
+        self.fanout_all(Request::ApplyDelta(delta.to_bytes()))
     }
 
     /// Fetches every peer's [`ShardDesc`]: example/class counts plus the
@@ -859,22 +762,12 @@ impl Cluster {
     /// fleet-uniformity audit input (mixing features extracted under
     /// different policies silently degrades fine-tuning).
     pub fn describe(&self) -> Fanout<ShardDesc> {
-        Self::typed(
-            self.fanout_all(PeerOp::Describe),
-            "describe",
-            |ok| match ok {
-                PeerOk::Shard(desc) => Some(desc),
-                _ => None,
-            },
-        )
+        self.fanout_all(Request::Describe)
     }
 
     /// Scrapes every peer's telemetry registry concurrently.
     pub fn scrape(&self) -> Fanout<telemetry::Snapshot> {
-        Self::typed(self.fanout_all(PeerOp::Scrape), "metrics", |ok| match ok {
-            PeerOk::Metrics(snap) => Some(snap),
-            _ => None,
-        })
+        self.fanout_all(Request::Metrics)
     }
 
     /// Scrapes the fleet and folds the snapshots into a cluster-wide
@@ -886,11 +779,7 @@ impl Cluster {
     pub fn scrape_metrics(&self) -> Result<ClusterMetrics, ClusterError> {
         let fan = self.scrape();
         if !self.policy.admits(fan.ok.len(), fan.failures.len()) {
-            return Err(ClusterError::Rejected {
-                policy: self.policy,
-                ok: fan.ok.len(),
-                failures: fan.failures,
-            });
+            return Err(self.reject(fan.ok.len(), fan.failures));
         }
         let per_peer: Vec<(SocketAddr, telemetry::Snapshot)> =
             fan.ok.into_iter().map(|r| (r.peer, r.value)).collect();
@@ -901,26 +790,14 @@ impl Cluster {
     /// Fetches the placement map every peer currently holds (peers with
     /// no map installed report a failure).
     pub fn placement(&self) -> Fanout<PlacementMap> {
-        Self::typed(
-            self.fanout_all(PeerOp::Placement),
-            "placement",
-            |ok| match ok {
-                PeerOk::Placement(map) => Some(map),
-                _ => None,
-            },
-        )
+        self.fanout_all(Request::Placement)
     }
 
     /// Publishes `map` cluster-wide. Peers holding a newer epoch reject
     /// the install (reported as per-peer failures); equal epochs are
-    /// idempotent acks. The map is serialized once and shared.
+    /// idempotent acks. The map is cloned once and shared.
     pub fn publish_placement(&self, map: &PlacementMap) -> Fanout<()> {
-        let shared = Arc::new(map.clone());
-        Self::typed(
-            self.fanout_all(PeerOp::InstallPlacement(shared)),
-            "install_placement",
-            |ok| matches!(ok, PeerOk::Ack).then_some(()),
-        )
+        self.fanout_all(Request::InstallPlacement(map.clone()))
     }
 
     /// Replicated write: stores `rec` on every live replica `map`
@@ -931,12 +808,7 @@ impl Cluster {
             .into_iter()
             .map(|n| n as usize)
             .collect();
-        let shared = Arc::new(rec.clone());
-        Self::typed(
-            self.fanout_on(&indices, PeerOp::PutPhoto(shared)),
-            "put_photo",
-            |ok| matches!(ok, PeerOk::Ack).then_some(()),
-        )
+        self.fanout_on(&indices, Request::PutPhoto(rec.clone()))
     }
 
     /// Read with failover: tries the replicas `map` ranks for `id` in
@@ -954,22 +826,11 @@ impl Cluster {
         }
         let mut failures = Vec::new();
         for (rank, &node) in replicas.iter().enumerate() {
-            let fan = self.fanout_on(&[node as usize], PeerOp::GetPhoto(id));
+            let fan = self.fanout_on(&[node as usize], Request::GetPhoto(id));
             failures.extend(fan.failures);
-            for r in fan.ok {
-                match r.value {
-                    PeerOk::Photo(rec) => {
-                        count_reroutes(rank as u64);
-                        return Ok(rec);
-                    }
-                    _ => failures.push(PeerFailure {
-                        index: r.index,
-                        peer: r.peer.to_string(),
-                        op: "get_photo",
-                        attempts: r.attempts,
-                        error: RpcError::Protocol("unexpected reply shape"),
-                    }),
-                }
+            if let Some(r) = fan.ok.into_iter().next() {
+                count_reroutes(rank as u64);
+                return Ok(r.value);
             }
         }
         Err(self.reject(0, failures))
@@ -978,14 +839,7 @@ impl Cluster {
     /// Lists the photo ids each peer holds (its own shard plus any
     /// replicas parked on it).
     pub fn list_photos(&self) -> Fanout<Vec<u64>> {
-        Self::typed(
-            self.fanout_all(PeerOp::ListPhotos),
-            "list_photos",
-            |ok| match ok {
-                PeerOk::PhotoIds(ids) => Some(ids),
-                _ => None,
-            },
-        )
+        self.fanout_all(Request::ListPhotos)
     }
 
     /// Self-healing sweep after a membership change: publishes `new`
@@ -1049,13 +903,11 @@ impl Cluster {
             // Fetch one copy from any current holder.
             let mut rec = None;
             for &h in holding {
-                let fan = self.fanout_on(&[h], PeerOp::GetPhoto(id));
+                let fan = self.fanout_on::<PhotoRecord>(&[h], Request::GetPhoto(id));
                 report.failures.extend(fan.failures);
                 if let Some(r) = fan.ok.into_iter().next() {
-                    if let PeerOk::Photo(p) = r.value {
-                        rec = Some(p);
-                        break;
-                    }
+                    rec = Some(r.value);
+                    break;
                 }
             }
             let Some(rec) = rec else {
@@ -1063,8 +915,7 @@ impl Cluster {
                 continue;
             };
             let copy_bytes = rec.transfer_bytes() as u64;
-            let shared = Arc::new(rec);
-            let fan = self.fanout_on(&missing, PeerOp::PutPhoto(shared));
+            let fan = self.fanout_on::<()>(&missing, Request::PutPhoto(rec));
             let stored = fan.ok.len() as u64;
             report.failures.extend(fan.failures);
             if stored == 0 {
@@ -1105,7 +956,7 @@ impl Cluster {
     /// of, requeue on failure, orphaning, `(node, micro-batch)` gather
     /// order). This driver describes and validates the fleet,
     /// distributes the master model, keeps up to two
-    /// [`PeerOp::ExtractSlice`] jobs in flight per live peer, feeds
+    /// [`Request::ExtractSlice`] jobs in flight per live peer, feeds
     /// replies back, trains each run as it completes and ships each
     /// round's Check-N-Run delta — overlapped with the next round's
     /// extraction when `S ≥ 1` (safe because features depend only on the
@@ -1166,32 +1017,14 @@ impl Cluster {
         // failure, not a panic).
         let mut shard_len: BTreeMap<usize, usize> = BTreeMap::new();
         let mut unfit: Vec<usize> = Vec::new();
-        let fan = self.fanout_on(&live, PeerOp::Describe);
+        let fan = self.fanout_on::<ShardDesc>(&live, Request::Describe);
         failures.extend(fan.failures);
         live.clear();
         for r in fan.ok {
-            let (examples, classes) = match r.value {
-                PeerOk::Shard(desc) => (desc.examples, desc.classes),
-                _ => (0, u32::MAX),
-            };
-            let verdict = if examples < config.n_run as u64 {
-                Err(FtdmpError::ShardTooSmall {
-                    store: r.index,
-                    shard_len: examples as usize,
-                    n_run: config.n_run,
-                })
-            } else if classes as usize > tuner.model().num_classes() {
-                Err(FtdmpError::ClassOverflow {
-                    store: r.index,
-                    shard_classes: classes as usize,
-                    model_classes: tuner.model().num_classes(),
-                })
-            } else {
-                Ok(())
-            };
-            match verdict {
+            let (examples, classes) = (r.value.examples as usize, r.value.classes as usize);
+            match check_shard(r.index, examples, classes, config, tuner.model()) {
                 Ok(()) => {
-                    shard_len.insert(r.index, examples as usize);
+                    shard_len.insert(r.index, examples);
                     live.push(r.index);
                 }
                 Err(e) => {
@@ -1216,8 +1049,7 @@ impl Cluster {
         // 1. Distribute the current master model (serialized once).
         let timer = phase_timer("distribute");
         let model_before = tuner.model().clone();
-        let blob: Arc<[u8]> = model_before.to_bytes().into();
-        let fan = self.fanout_on(&live, PeerOp::InstallModel(blob));
+        let fan = self.fanout_on::<()>(&live, Request::InstallModel(model_before.to_bytes()));
         live = fan.ok.iter().map(|r| r.index).collect();
         failures.extend(fan.failures);
         drop(timer);
@@ -1250,12 +1082,15 @@ impl Cluster {
             let known = shard_len.get(&a).copied().or_else(|| {
                 let holders = live.iter().filter(|&&h| h != a && can_serve(h, a));
                 holders
-                    .flat_map(|&h| self.fanout_on(&[h], PeerOp::DescribeNode(a as u64)).ok)
-                    .find_map(|r| match r.value {
-                        PeerOk::Shard(desc) if desc.examples as usize >= config.n_run => {
-                            Some(desc.examples as usize)
-                        }
-                        _ => None,
+                    .flat_map(|&h| {
+                        self.fanout_on::<ShardDesc>(&[h], Request::DescribeNode(a as u64))
+                            .ok
+                    })
+                    .find_map(|r| {
+                        let (examples, classes) =
+                            (r.value.examples as usize, r.value.classes as usize);
+                        let fit = check_shard(a, examples, classes, config, tuner.model());
+                        fit.is_ok().then_some(examples)
                     })
             });
             if let Some(n) = known {
@@ -1294,8 +1129,8 @@ impl Cluster {
                             failures: &mut Vec<PeerFailure>,
                             distribution_bytes: &mut usize| {
             for reply in pending.drain(..).flatten() {
-                match reply.result {
-                    Ok(_) => *distribution_bytes += reply.sent_bytes as usize,
+                match reply.result.and_then(Reply::into_typed::<()>) {
+                    Ok(()) => *distribution_bytes += reply.sent_bytes as usize,
                     Err(error) => {
                         live.retain(|&p| p != reply.index);
                         failures.push(PeerFailure::new(
@@ -1319,9 +1154,10 @@ impl Cluster {
                 while progressed {
                     progressed = false;
                     for p in live.clone() {
-                        if in_flight.get(p).is_none_or(|w| w.len() >= MAX_INFLIGHT) {
+                        let Some(window) = in_flight.get_mut(p).filter(|w| w.len() < MAX_INFLIGHT)
+                        else {
                             continue;
-                        }
+                        };
                         let claim = sched.next_for(|node| node == p, |node| can_serve(p, node));
                         let Some((task, stolen)) = claim else {
                             continue;
@@ -1333,34 +1169,22 @@ impl Cluster {
                                 count_reroutes(1);
                             }
                         }
-                        let job = Job::Op {
-                            op: PeerOp::ExtractSlice {
-                                node: Some(task.node as u64),
-                                run: task.run as u32,
-                                n_run: config.n_run as u32,
-                                mb: task.mb as u32,
-                                n_mb: task.n_mb as u32,
-                            },
-                            attempts: self.op_attempts,
-                            done: ext_tx.clone(),
+                        let req = Request::ExtractSlice {
+                            node: task.node as u64,
+                            run: task.run as u32,
+                            n_run: config.n_run as u32,
+                            mb: task.mb as u32,
+                            n_mb: task.n_mb as u32,
                         };
-                        let sent = self
-                            .peers
-                            .get(p)
-                            .is_some_and(|slot| slot.tx.send(job).is_ok());
-                        match in_flight.get_mut(p) {
-                            Some(window) if sent => {
+                        match self.submit(p, Arc::new(req), &ext_tx) {
+                            Ok(()) => {
                                 window.push_back(task);
                                 progressed = true;
                             }
-                            _ => {
+                            Err(failure) => {
                                 // Worker gone: treat like a transport death.
                                 live.retain(|&q| q != p);
-                                failures.push(self.unreached(
-                                    p,
-                                    "extract_slice",
-                                    "peer worker is gone",
-                                ));
+                                failures.push(failure);
                                 sched.fail(task);
                             }
                         }
@@ -1388,13 +1212,12 @@ impl Cluster {
                 else {
                     return Err(ClusterError::Config("unmatched extract reply"));
                 };
-                let error = match reply.result {
-                    Ok(PeerOk::Features { features, labels }) => {
+                let error = match reply.result.and_then(Reply::into_typed) {
+                    Ok((features, labels)) => {
                         feature_bytes += reply.recv_bytes as usize;
                         sched.complete(task, features, labels);
                         continue;
                     }
-                    Ok(_) => RpcError::Protocol("unexpected reply shape"),
                     Err(error) => error,
                 };
                 // A failed or malformed reply counts the peer out.
@@ -1433,19 +1256,15 @@ impl Cluster {
                 last_reduction = delta.traffic_reduction();
                 round_base = tuner.model().clone();
                 round_base_version = tuner.version();
-                let blob: Arc<[u8]> = delta.to_bytes().into();
+                let req = Arc::new(Request::ApplyDelta(delta.to_bytes()));
                 // Each targeted peer sends exactly one ack per round, so
                 // a bound of `live.len()` means workers never block.
                 // ndlint: policy(block, reason = "capacity equals the reply count, so the blocking case is unreachable by construction")
                 let (dtx, drx) = mpsc::sync_channel::<WorkerReply>(live.len().max(1));
-                for &p in &live {
-                    let job = Job::Op {
-                        op: PeerOp::ApplyDelta(blob.clone()),
-                        attempts: self.op_attempts,
-                        done: dtx.clone(),
-                    };
-                    if let Some(slot) = self.peers.get(p) {
-                        let _ = slot.tx.send(job);
+                for p in live.clone() {
+                    if let Err(failure) = self.submit(p, Arc::clone(&req), &dtx) {
+                        live.retain(|&q| q != p);
+                        failures.push(failure);
                     }
                 }
                 drop(dtx);
@@ -1522,12 +1341,7 @@ impl Cluster {
     /// Ends every peer session cleanly, then stops and joins the worker
     /// threads. Per-peer shutdown failures are reported, not fatal.
     pub fn shutdown(mut self) -> Fanout<()> {
-        let indices: Vec<usize> = (0..self.peers.len()).collect();
-        let fan = Self::typed(
-            self.fanout_on(&indices, PeerOp::EndSession),
-            "shutdown",
-            |ok| matches!(ok, PeerOk::Ack).then_some(()),
-        );
+        let fan = self.fanout_all(Request::Shutdown);
         self.stop_and_join();
         fan
     }

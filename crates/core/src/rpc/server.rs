@@ -152,7 +152,7 @@ fn handle(store: &RwLock<PipeStore>, request: Request) -> Option<Reply> {
     Some(match request {
         Request::InstallModel(bytes) => match Mlp::from_bytes(&bytes) {
             Ok(model) => {
-                // ndlint: allow(blocking, reason = "this resolves to PipeStore::install_model (in-memory swap + republish); the widened chain through the Tuner-side Client::install_model is a different receiver type")
+                // ndlint: allow(blocking, reason = "this resolves to PipeStore::install_model (in-memory swap + republish); the widened chains through the Tuner-side RemotePipeStore::install_model and Cluster::install_model are different receiver types")
                 store.write().install_model(model);
                 Reply::Ack
             }
@@ -206,12 +206,11 @@ fn handle(store: &RwLock<PipeStore>, request: Request) -> Option<Reply> {
             }
         }
         Request::Metrics => Reply::Metrics(store.read().metrics().snapshot()),
-        // ndlint: allow(blocking, reason = "this resolves to PipeStore::placement (clones the cached map); the widened chain through Client::placement is a different receiver type")
+        // ndlint: allow(blocking, reason = "this resolves to PipeStore::placement (clones the cached map); the widened chain through the Tuner-side Cluster::placement is a different receiver type")
         Request::Placement => match store.read().placement() {
             Some(map) => Reply::Placement(map),
             None => Reply::Error("no placement map installed".to_string()),
         },
-        // ndlint: allow(blocking, reason = "this resolves to PipeStore::install_placement (epoch-checked map swap); the widened chain through Client::install_placement is a different receiver type")
         Request::InstallPlacement(map) => match store.read().install_placement(map) {
             Ok(_) => Reply::Ack,
             Err(held) => Reply::Error(format!("stale placement epoch (holding {held})")),
@@ -241,12 +240,21 @@ fn handle(store: &RwLock<PipeStore>, request: Request) -> Option<Reply> {
                 return Some(Reply::Error("bad micro-batch index".to_string()));
             }
             let store = store.read();
-            if store.model().is_none() {
+            let Some(model) = store.model() else {
                 return Some(Reply::Error("no model installed".to_string()));
-            }
+            };
             let Some(shard) = store.shard_for(node) else {
                 return Some(Reply::Error(format!("no replica shard for node {node}")));
             };
+            // The forward asserts this width; a panic there would take
+            // the worker thread with it.
+            if model.input_dim() != shard.input_dim() {
+                return Some(Reply::Error(format!(
+                    "model takes {}-wide rows but node {node}'s shard is {} wide",
+                    model.input_dim(),
+                    shard.input_dim()
+                )));
+            }
             // Micro-batch sub-slices partition the run contiguously, so
             // concatenating replies in mb order is bit-identical to one
             // whole-run extraction.

@@ -8,6 +8,7 @@
 
 use crate::placement::PlacementMap;
 use crate::rpc::RpcError;
+use std::borrow::Cow;
 use std::io::{Read, Write};
 use telemetry::codec::{put_f32s, put_u32, put_u64, Reader};
 use tensor::linalg::KernelFamily;
@@ -219,6 +220,61 @@ pub enum Reply {
     Error(String),
 }
 
+/// The Rust value one [`Reply`] shape carries — the one place that says
+/// which shape answers which request. Any other shape is `None`; a type
+/// with no impl cannot be asked for, so a new `Reply` variant is
+/// unreachable from client code until it gets one.
+pub trait FromReply: Sized {
+    /// `reply` as `Self`, or `None` when it has another shape.
+    fn from_reply(reply: Reply) -> Option<Self>;
+}
+
+impl Reply {
+    /// This reply as `T`; any other shape is a protocol violation.
+    ///
+    /// # Errors
+    ///
+    /// [`RpcError::Protocol`] when the shape does not convert to `T`.
+    pub fn into_typed<T: FromReply>(self) -> Result<T, RpcError> {
+        T::from_reply(self).ok_or(RpcError::Protocol("unexpected reply shape"))
+    }
+}
+
+/// Any shape, untyped (the cluster's peer workers forward it as is).
+impl FromReply for Reply {
+    fn from_reply(reply: Reply) -> Option<Self> {
+        Some(reply)
+    }
+}
+
+/// Implements [`FromReply`] for each `type: shape => value` row.
+macro_rules! from_reply {
+    ($($ty:ty: $shape:pat => $value:expr;)*) => {$(
+        impl FromReply for $ty {
+            fn from_reply(reply: Reply) -> Option<Self> {
+                match reply {
+                    $shape => Some($value),
+                    _ => None,
+                }
+            }
+        }
+    )*};
+}
+
+from_reply! {
+    (): Reply::Ack => ();
+    // Labels widen to class indices.
+    (Tensor, Vec<usize>): Reply::Features { features, labels } =>
+        (features, labels.into_iter().map(|l| l as usize).collect());
+    Vec<(u64, u32)>: Reply::Labels(pairs) => pairs;
+    ShardDesc: Reply::ShardInfo(desc) => desc;
+    telemetry::Snapshot: Reply::Metrics(snapshot) => snapshot;
+    u32: Reply::Label(label) => label;
+    PlacementMap: Reply::Placement(map) => map;
+    PhotoRecord: Reply::Photo(rec) => rec;
+    Vec<u64>: Reply::PhotoIds(ids) => ids;
+}
+
 /// Session-opening frames. A session is exactly one `Hello` from the
 /// connecting Tuner answered by one `Accept` or `Reject` from the store;
 /// only then does the request/reply stream begin.
@@ -290,11 +346,13 @@ fn decode_all<T>(
 }
 
 impl Request {
-    pub(crate) fn encode_body(&self) -> (u8, Vec<u8>) {
-        match self {
-            Request::InstallModel(m) => (TAG_INSTALL, m.clone()),
+    /// The frame tag and payload. Model and delta blobs are borrowed, so
+    /// a request shared by many peers is not copied once per frame.
+    pub(crate) fn encode_body(&self) -> (u8, Cow<'_, [u8]>) {
+        let (tag, payload) = match self {
+            Request::InstallModel(m) => return (TAG_INSTALL, Cow::Borrowed(m)),
             Request::OfflineInfer => (TAG_INFER, Vec::new()),
-            Request::ApplyDelta(d) => (TAG_DELTA, d.clone()),
+            Request::ApplyDelta(d) => return (TAG_DELTA, Cow::Borrowed(d)),
             Request::Describe => (TAG_DESCRIBE, Vec::new()),
             Request::Metrics => (TAG_METRICS_REQ, Vec::new()),
             Request::Infer { features } => {
@@ -328,7 +386,8 @@ impl Request {
             }
             Request::DescribeNode(node) => (TAG_DESCRIBE_NODE, node.to_le_bytes().to_vec()),
             Request::Shutdown => (TAG_SHUTDOWN, Vec::new()),
-        }
+        };
+        (tag, Cow::Owned(payload))
     }
 
     pub(crate) fn decode_body(tag: u8, payload: &[u8]) -> Result<Request, RpcError> {
@@ -841,7 +900,8 @@ mod tests {
 
     #[test]
     fn truncated_photo_record_rejected() {
-        let (tag, full) = Request::PutPhoto(sample_record()).encode_body();
+        let req = Request::PutPhoto(sample_record());
+        let (tag, full) = req.encode_body();
         for cut in 0..full.len() {
             assert!(
                 Request::decode_body(tag, &full[..cut]).is_err(),
@@ -849,7 +909,7 @@ mod tests {
             );
         }
         // Trailing garbage is a protocol error too.
-        let mut padded = full;
+        let mut padded = full.into_owned();
         padded.push(0);
         assert!(Request::decode_body(tag, &padded).is_err());
     }

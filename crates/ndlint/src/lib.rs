@@ -334,26 +334,6 @@ impl Config {
                         },
                     ],
                 },
-                // Control-plane fan-out ops: a new PeerOp must both get a
-                // metric label and reach the wire in `apply`.
-                WireCheck {
-                    enum_file_suffix: "core/src/rpc/cluster.rs".into(),
-                    enum_name: "PeerOp".into(),
-                    sites: vec![
-                        WireSite {
-                            file_suffix: "core/src/rpc/cluster.rs".into(),
-                            impl_target: Some("PeerOp".into()),
-                            fn_name: "name".into(),
-                            label: "metric label".into(),
-                        },
-                        WireSite {
-                            file_suffix: "core/src/rpc/cluster.rs".into(),
-                            impl_target: None,
-                            fn_name: "apply".into(),
-                            label: "peer dispatch".into(),
-                        },
-                    ],
-                },
             ],
             metric_table: None, // filled from DESIGN.md by run_workspace
             // Backpressure zones: the event-driven RPC front door and the

@@ -259,6 +259,38 @@ fn crafted_model_blobs_cannot_kill_the_worker_pool() {
     server.shutdown().expect("clean server stop");
 }
 
+/// A well-formed model narrower than the store's 16-wide shard: its
+/// `ExtractSlice` must come back as an error reply. Running the forward
+/// instead panics on the width check and takes a worker thread with it,
+/// so one more such session than the server has workers would leave
+/// nobody to answer the fresh session's `Describe`.
+#[test]
+fn narrow_model_extract_cannot_kill_the_worker_pool() {
+    let mut rng = StdRng::seed_from_u64(609);
+    let server = bind_server(&mut rng);
+    let narrow = Mlp::new(&[8, 12, 4], 1, &mut rng);
+    let opts = ConnectOptions::new()
+        .retries(1)
+        .timeout(Duration::from_secs(3));
+
+    for _ in 0..ServerConfig::default().workers + 1 {
+        let mut c = RemotePipeStore::connect_with(server.local_addr(), opts).expect("connect");
+        c.install_model(&narrow)
+            .expect("a well-formed model installs");
+        match c.extract_features(0, 1) {
+            Err(RpcError::Remote { op, .. }) => assert_eq!(op, "extract_slice"),
+            Err(other) => panic!("expected a remote error, got {other:?}"),
+            Ok(_) => panic!("a narrow model extracted a 16-wide shard"),
+        }
+        c.shutdown().expect("end session");
+    }
+
+    let mut c = RemotePipeStore::connect_with(server.local_addr(), opts).expect("fresh session");
+    c.describe().expect("describe after the narrow extracts");
+    c.shutdown().expect("end session");
+    server.shutdown().expect("clean server stop");
+}
+
 /// `(count, sum)` of the `ndpipe_rpc_batch_size` histogram and the
 /// `ndpipe_online_coalesced_total` counter (0 when never touched).
 fn batch_metrics(snap: &telemetry::Snapshot) -> (u64, f64, u64) {
