@@ -12,6 +12,7 @@ use ndpipe::rpc::wire::{
 };
 use ndpipe::rpc::{ConnectOptions, RemotePipeStore, RpcError};
 use ndpipe::PipeStore;
+use ndpipe_data::photo::{preprocessed_binary, PhotoFactory};
 use ndpipe_data::{ClassUniverse, LabeledDataset};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -287,6 +288,45 @@ fn narrow_model_extract_cannot_kill_the_worker_pool() {
 
     let mut c = RemotePipeStore::connect_with(server.local_addr(), opts).expect("fresh session");
     c.describe().expect("describe after the narrow extracts");
+    c.shutdown().expect("end session");
+    server.shutdown().expect("clean server stop");
+}
+
+/// The same narrow model under `OfflineInfer` on a store that holds
+/// photos: the relabel classifies the store's 16-wide shard rows with the
+/// full forward, which asserts the width just as extraction does. Each
+/// session must get an error reply and the pool must still answer a
+/// fresh session's `Describe` afterwards.
+#[test]
+fn narrow_model_offline_infer_cannot_kill_the_worker_pool() {
+    let mut rng = StdRng::seed_from_u64(610);
+    let store = PipeStore::new(0, dataset(&mut rng, 4, 8));
+    let mut factory = PhotoFactory::new(512);
+    for i in 0..6 {
+        let photo = factory.make(i % 4, 0, &mut rng);
+        store.store_photo(photo, preprocessed_binary(256, &mut rng));
+    }
+    let server = PipeStoreServer::bind(store, "127.0.0.1:0", ServerConfig::default())
+        .expect("bind event server");
+    let narrow = Mlp::new(&[8, 12, 4], 1, &mut rng);
+    let opts = ConnectOptions::new()
+        .retries(1)
+        .timeout(Duration::from_secs(3));
+
+    for _ in 0..ServerConfig::default().workers + 1 {
+        let mut c = RemotePipeStore::connect_with(server.local_addr(), opts).expect("connect");
+        c.install_model(&narrow)
+            .expect("a well-formed model installs");
+        match c.offline_infer() {
+            Err(RpcError::Remote { op, .. }) => assert_eq!(op, "offline_infer"),
+            Err(other) => panic!("expected a remote error, got {other:?}"),
+            Ok(_) => panic!("a narrow model relabelled a 16-wide shard"),
+        }
+        c.shutdown().expect("end session");
+    }
+
+    let mut c = RemotePipeStore::connect_with(server.local_addr(), opts).expect("fresh session");
+    c.describe().expect("describe after the narrow relabels");
     c.shutdown().expect("end session");
     server.shutdown().expect("clean server stop");
 }
