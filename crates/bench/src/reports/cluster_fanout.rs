@@ -217,10 +217,28 @@ fn measure_pinned(p: &FanoutParams) -> FanoutMeasurements {
         warm.failures
     );
 
+    // A store keeps the features it extracted, so before every timed
+    // sweep (untimed) the fleet gets the other of two prefixes: each
+    // sweep then runs the forward, as a round's first extraction does.
+    let other = Mlp::new(
+        &[p.input_dim, p.input_dim, p.input_dim, p.classes],
+        2,
+        &mut rng,
+    );
+    let install = |m: &Mlp| {
+        let fan = cluster.install_model(m);
+        assert!(
+            fan.failures.is_empty(),
+            "install failures: {:?}",
+            fan.failures
+        );
+    };
+
     let mut sequential_runs = Vec::with_capacity(p.repeats);
     let mut fanout_runs = Vec::with_capacity(p.repeats);
     let mut feature_bytes = 0u64;
     for _ in 0..p.repeats.max(1) {
+        install(&other);
         let t = Instant::now();
         for run in 0..n_run {
             for c in &mut seq {
@@ -229,6 +247,7 @@ fn measure_pinned(p: &FanoutParams) -> FanoutMeasurements {
         }
         sequential_runs.push(t.elapsed().as_secs_f64());
 
+        install(&model);
         let t = Instant::now();
         let mut sweep_bytes = 0u64;
         for run in 0..n_run {

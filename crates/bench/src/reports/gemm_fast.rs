@@ -213,10 +213,10 @@ fn time_best(dim: usize, reps: usize, oracle: &Tensor, tol: f32, mul: impl Fn() 
     flops / best.max(1e-12) / 1e9
 }
 
-/// One PipeStore with `rows` shard rows and an installed model, for the
-/// end-to-end extraction measurement (no photos needed — batched FE
-/// reads preprocessed shard rows directly).
-fn fe_store(p: &BenchParams, rng: &mut StdRng) -> PipeStore {
+/// A shard of `fe_rows` rows and a model for it, for the end-to-end
+/// extraction measurement (no photos needed — batched FE reads
+/// preprocessed shard rows directly).
+fn fe_inputs(p: &BenchParams, rng: &mut StdRng) -> (LabeledDataset, Mlp) {
     const CLASSES: usize = 10;
     const INPUT_DIM: usize = 64;
     let universe = ClassUniverse::new(INPUT_DIM, 16, CLASSES, 0.25, rng);
@@ -224,13 +224,15 @@ fn fe_store(p: &BenchParams, rng: &mut StdRng) -> PipeStore {
         .map(|i| universe.sample(i % CLASSES, rng))
         .collect();
     let labels: Vec<usize> = (0..p.fe_rows).map(|i| i % CLASSES).collect();
-    let mut store = PipeStore::new(0, LabeledDataset::new(rows, labels, CLASSES));
-    store.install_model(Mlp::new(&[INPUT_DIM, 96, 64, CLASSES], 2, rng));
-    store
+    let model = Mlp::new(&[INPUT_DIM, 96, 64, CLASSES], 2, rng);
+    (LabeledDataset::new(rows, labels, CLASSES), model)
 }
 
-/// Best-of-2 batched-extraction throughput under the store's policy.
-fn measure_ips(store: &PipeStore, p: &BenchParams) -> f64 {
+/// Best-of-2 batched-extraction throughput under `policy`. Every sample
+/// runs on a fresh store: a store keeps the features it extracted, so a
+/// second extraction on the same store would time a cache read, not
+/// the FE forward.
+fn measure_ips(shard: &LabeledDataset, model: &Mlp, policy: MathPolicy, p: &BenchParams) -> f64 {
     let cfg = EngineConfig {
         batch: 128,
         decomp_workers: 1,
@@ -238,7 +240,11 @@ fn measure_ips(store: &PipeStore, p: &BenchParams) -> f64 {
     };
     let mut best = 0.0f64;
     for _ in 0..2 {
+        let mut store = PipeStore::new(0, shard.clone());
+        store.install_model(model.clone());
+        store.set_math_policy(policy);
         let ((features, labels), stats) = store.extract_features_batched(0..p.fe_rows, &cfg);
+        assert!(stats.batches > 0, "the sample timed no forward");
         assert_eq!(labels.len(), p.fe_rows);
         assert!(features.data().iter().all(|v| v.is_finite()));
         best = best.max(stats.ips());
@@ -369,13 +375,11 @@ pub fn measure_with(p: &BenchParams) -> FastMeasurements {
         tensor::quant::matmul_nt_quant(&a, &wq)
     });
 
-    // End-to-end: the same store, engine, and shard; only the policy
+    // End-to-end: the same engine, shard and model; only the policy
     // pinned on the store differs.
-    let mut store = fe_store(p, &mut rng);
-    store.set_math_policy(MathPolicy::Deterministic);
-    let npe_det_ips = measure_ips(&store, p);
-    store.set_math_policy(MathPolicy::Fast);
-    let npe_fast_ips = measure_ips(&store, p);
+    let (shard, model) = fe_inputs(p, &mut rng);
+    let npe_det_ips = measure_ips(&shard, &model, MathPolicy::Deterministic, p);
+    let npe_fast_ips = measure_ips(&shard, &model, MathPolicy::Fast, p);
 
     let accuracy = int8_accuracy(p, &mut rng);
 

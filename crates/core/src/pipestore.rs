@@ -9,11 +9,12 @@
 use crate::npe::engine::{self, EngineConfig, PipelineStats};
 use crate::placement::PlacementMap;
 use crate::rpc::wire::PhotoRecord;
-use dnn::Mlp;
+use dnn::{Linear, Mlp};
 use ndpipe_data::deflate;
 use ndpipe_data::{LabeledDataset, Photo, PhotoId};
 use parking_lot::RwLock;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use tensor::{default_math_policy, MathPolicy, Tensor};
@@ -98,6 +99,76 @@ impl PhotoShards {
     }
 }
 
+/// What a cached feature slice was computed under. A slice is served
+/// only while the store's current stamp equals the one it was stored
+/// with: the same prefix epoch, the same version counter on every
+/// weight-freeze layer (a `train_step` through [`PipeStore::model_mut`]
+/// that reaches the prefix bumps one) and the same [`MathPolicy`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct PrefixStamp {
+    epoch: u64,
+    layer_versions: Vec<u64>,
+    math: MathPolicy,
+}
+
+/// One cached slice: exactly the rows `slice_bounds` produced for
+/// placement node `node`, forwarded in engine batches of `batch` rows.
+/// The whole range is the key, not single rows, because `Int8` quantizes
+/// activations per batch: a row's features depend on the batch it sat
+/// in, so only the same slice cut the same way is bit-identical to
+/// recomputing under every policy.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct SliceKey {
+    node: u64,
+    rows: Range<usize>,
+    batch: usize,
+}
+
+/// Frozen-prefix features this store already extracted, all under one
+/// [`PrefixStamp`].
+#[derive(Debug, Default)]
+struct FeatureCache {
+    stamp: Option<PrefixStamp>,
+    slices: HashMap<SliceKey, (Tensor, Vec<usize>)>,
+    /// Feature rows held, summed over `slices`.
+    rows: usize,
+}
+
+impl FeatureCache {
+    fn get(&self, stamp: &PrefixStamp, key: &SliceKey) -> Option<(Tensor, Vec<usize>)> {
+        if self.stamp.as_ref() != Some(stamp) {
+            return None;
+        }
+        self.slices.get(key).cloned()
+    }
+
+    /// Keeps one freshly extracted slice. A new stamp, or an insert that
+    /// would hold more than `max_rows` rows, clears the cache first.
+    fn insert(
+        &mut self,
+        stamp: PrefixStamp,
+        key: SliceKey,
+        slice: (Tensor, Vec<usize>),
+        max_rows: usize,
+    ) {
+        if self.stamp.as_ref() != Some(&stamp) || self.rows + slice.1.len() > max_rows {
+            self.slices.clear();
+            self.rows = 0;
+            self.stamp = Some(stamp);
+        }
+        self.rows += slice.1.len();
+        if let Some((_, old)) = self.slices.insert(key, slice) {
+            self.rows -= old.len();
+        }
+    }
+
+    /// Drops every slice of `node`'s shard.
+    fn forget_node(&mut self, node: u64) {
+        self.slices.retain(|k, _| k.node != node);
+        self.rows = self.slices.values().map(|(_, labels)| labels.len()).sum();
+    }
+}
+
 /// Accumulated NPE engine activity on one store: the most recent run's
 /// [`PipelineStats`] plus lifetime totals. One source of truth for both
 /// the Fig 12 bench and the telemetry exporters.
@@ -156,6 +227,14 @@ pub struct PipeStore {
     /// fleets can be simulated in one process. Reported over RPC in
     /// `ShardInfo` so the Tuner can audit fleet uniformity.
     math: MathPolicy,
+    /// Bumped by [`PipeStore::install_model`] whenever the incoming
+    /// weight-freeze prefix differs bitwise from the held one. Layer
+    /// version counters alone cannot tell two installed prefixes apart:
+    /// every freshly decoded model starts at the same counts.
+    prefix_epoch: u64,
+    /// FT-DMP features of every slice extracted under the current
+    /// prefix, so a later extraction of the same slice is a read.
+    feature_cache: parking_lot::Mutex<FeatureCache>,
 }
 
 impl PipeStore {
@@ -173,6 +252,8 @@ impl PipeStore {
             npe: Mutex::new(NpeActivity::default()),
             extract_delay: None,
             math: default_math_policy(),
+            prefix_epoch: 0,
+            feature_cache: parking_lot::Mutex::new(FeatureCache::default()),
         }
     }
 
@@ -188,8 +269,9 @@ impl PipeStore {
 
     /// Overrides the FE [`MathPolicy`] for this store only (the
     /// constructor picks up the process default). Takes effect on the
-    /// next extraction; results under a different policy than before
-    /// are not comparable bit-for-bit.
+    /// next extraction (features cached under another policy are not
+    /// served); results under a different policy than before are not
+    /// comparable bit-for-bit.
     pub fn set_math_policy(&mut self, policy: MathPolicy) {
         self.math = policy;
     }
@@ -308,9 +390,11 @@ impl PipeStore {
         &self.shard
     }
 
-    /// Replaces the local shard (e.g. when new uploads land here).
+    /// Replaces the local shard (e.g. when new uploads land here) and
+    /// drops the features cached from the old one.
     pub fn set_shard(&mut self, shard: LabeledDataset) {
         self.shard = shard;
+        self.feature_cache.get_mut().forget_node(self.id as u64);
     }
 
     /// The placement map this store currently holds (a clone).
@@ -352,8 +436,10 @@ impl PipeStore {
 
     /// Attaches a replica copy of another node's training shard, so
     /// this store can stand in for `node` during FT-DMP extraction.
+    /// Features cached from a shard it replaces are dropped.
     pub fn add_replica_shard(&mut self, node: u64, shard: LabeledDataset) {
         self.replica_shards.insert(node, shard);
+        self.feature_cache.get_mut().forget_node(node);
     }
 
     /// Placement node ids whose shards this store replicates.
@@ -530,8 +616,20 @@ impl PipeStore {
 
     /// Installs (or replaces) the local model replica and immediately
     /// publishes its immutable snapshot for lock-free readers.
+    ///
+    /// When the incoming weight-freeze prefix equals the held one bit for
+    /// bit, only the incoming classifier head is taken: the held prefix
+    /// layers stay, packed panels included, and so do the features
+    /// cached under them. Any other prefix starts a new prefix epoch.
     pub fn install_model(&mut self, model: Mlp) {
-        self.model = Some(model);
+        let replaced = match self.model.as_mut() {
+            Some(held) => held.adopt_head(model).err(),
+            None => Some(model),
+        };
+        if let Some(model) = replaced {
+            self.prefix_epoch += 1;
+            self.model = Some(model);
+        }
         self.republish_model();
     }
 
@@ -543,7 +641,8 @@ impl PipeStore {
     /// Mutable model access (for applying Check-N-Run deltas). Mutation
     /// bumps the weight version, so the next [`PipeStore::model_snapshot`]
     /// republishes automatically; call [`PipeStore::republish_model`] to
-    /// do it eagerly.
+    /// do it eagerly. A mutation that reaches the weight-freeze prefix
+    /// also retires the cached features.
     pub fn model_mut(&mut self) -> Option<&mut Mlp> {
         self.model.as_mut()
     }
@@ -589,8 +688,9 @@ impl PipeStore {
     /// FT-DMP Store-stage: runs the weight-freeze prefix over (a slice
     /// of) the local shard and returns `(features, labels)` to ship to
     /// the Tuner. Serial reference implementation — one forward over the
-    /// whole slice; see [`PipeStore::extract_features_batched`] for the
-    /// pipelined production path.
+    /// whole slice, never cached; see
+    /// [`PipeStore::extract_features_batched`] for the pipelined
+    /// production path.
     ///
     /// # Panics
     ///
@@ -609,15 +709,21 @@ impl PipeStore {
     /// batched forward per [`EngineConfig::batch`] rows. Features and
     /// labels are bit-identical to the serial path at any worker count.
     ///
+    /// The first extraction of a slice keeps its result; extracting the
+    /// same range with the same batch size again, while the prefix, its
+    /// layer versions, the math policy and the shard are unchanged,
+    /// returns those exact bytes without a forward (and with empty
+    /// [`PipelineStats`]). The per-row straggler delay applies either way.
+    ///
     /// # Panics
     ///
     /// Panics if no model is installed or the range is out of bounds.
     pub fn extract_features_batched(
         &self,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         cfg: &EngineConfig,
     ) -> ((Tensor, Vec<usize>), PipelineStats) {
-        self.extract_on(&self.shard, range, cfg)
+        self.extract_on(self.id as u64, &self.shard, range, cfg)
     }
 
     /// [`PipeStore::extract_features_batched`] over the *replica shard*
@@ -632,28 +738,51 @@ impl PipeStore {
     pub fn extract_features_batched_for(
         &self,
         node: u64,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         cfg: &EngineConfig,
     ) -> Option<((Tensor, Vec<usize>), PipelineStats)> {
         let shard = self.shard_for(node)?;
-        Some(self.extract_on(shard, range, cfg))
+        Some(self.extract_on(node, shard, range, cfg))
     }
 
+    /// The one extraction path: a cache read when this slice was already
+    /// extracted under the current prefix, else the NPE engine, whose
+    /// result is then cached.
     fn extract_on(
         &self,
+        node: u64,
         shard: &LabeledDataset,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         cfg: &EngineConfig,
     ) -> ((Tensor, Vec<usize>), PipelineStats) {
         if let Some(delay) = self.extract_delay {
             // Straggler simulation only; never set on production paths.
             // Per *row*, so the penalty models a slow device: splitting a
             // run into micro-batches does not change the total sleep, but
-            // every row stolen away by a healthy replica escapes it.
+            // every row stolen away by a healthy replica escapes it. It
+            // runs before the cache lookup, so a slow store stays slow.
             std::thread::sleep(delay * range.len() as u32);
         }
         let model = self.model.as_ref().expect("no model installed");
         assert!(range.end <= shard.len(), "range out of bounds");
+        let stamp = PrefixStamp {
+            epoch: self.prefix_epoch,
+            layer_versions: model.feature_layers().iter().map(Linear::version).collect(),
+            math: self.math,
+        };
+        let key = SliceKey {
+            node,
+            rows: range.clone(),
+            batch: cfg.batch,
+        };
+        let cached = {
+            let _w = crate::sanitize::order(crate::sanitize::RANK_FEATURES, "feature_cache");
+            self.feature_cache.lock().get(&stamp, &key)
+        };
+        self.count_feature_lookup(cached.is_some());
+        if let Some(slice) = cached {
+            return (slice, PipelineStats::default());
+        }
         let feature_dim = model.feature_dim();
         let (pairs, stats) = engine::run_pipeline(
             cfg,
@@ -680,7 +809,44 @@ impl PipeStore {
             Tensor::stack_rows(&rows)
         };
         self.record_npe(&stats);
+        // Never more cached rows than shard rows held: a fixed slice
+        // layout fits exactly, any other layout clears and refills.
+        let held_rows = self.shard.len()
+            + self
+                .replica_shards
+                .values()
+                .map(LabeledDataset::len)
+                .sum::<usize>();
+        let slice = (features.clone(), labels.clone());
+        {
+            let _w = crate::sanitize::order(crate::sanitize::RANK_FEATURES, "feature_cache");
+            self.feature_cache
+                .lock()
+                .insert(stamp, key, slice, held_rows);
+        }
         ((features, labels), stats)
+    }
+
+    /// Counts one feature-cache lookup on the store's registry.
+    fn count_feature_lookup(&self, hit: bool) {
+        if !telemetry::enabled() {
+            return;
+        }
+        if hit {
+            self.metrics
+                .counter(
+                    "ndpipe_feature_cache_hits_total",
+                    "feature slices served from the store's cache without a forward",
+                )
+                .inc();
+        } else {
+            self.metrics
+                .counter(
+                    "ndpipe_feature_cache_misses_total",
+                    "feature slices extracted through the NPE engine and cached",
+                )
+                .inc();
+        }
     }
 
     /// Persists every stored photo (raw blob + compressed sidecar) into a

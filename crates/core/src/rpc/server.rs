@@ -33,7 +33,7 @@ use crate::rpc::wire::{
 use crate::rpc::RpcError;
 use crossbeam::channel::{Receiver, Sender, TrySendError};
 use dnn::Mlp;
-use ndpipe_data::PhotoId;
+use ndpipe_data::{LabeledDataset, PhotoId};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -160,8 +160,11 @@ fn handle(store: &RwLock<PipeStore>, request: Request) -> Option<Reply> {
         },
         Request::OfflineInfer => {
             let store = store.read();
-            if store.model().is_none() {
+            let Some(model) = store.model() else {
                 return Some(Reply::Error("no model installed".to_string()));
+            };
+            if let Some(refusal) = width_refusal(model, store.shard(), "the store's") {
+                return Some(refusal);
             }
             let pairs = store
                 .offline_inference()
@@ -246,14 +249,8 @@ fn handle(store: &RwLock<PipeStore>, request: Request) -> Option<Reply> {
             let Some(shard) = store.shard_for(node) else {
                 return Some(Reply::Error(format!("no replica shard for node {node}")));
             };
-            // The forward asserts this width; a panic there would take
-            // the worker thread with it.
-            if model.input_dim() != shard.input_dim() {
-                return Some(Reply::Error(format!(
-                    "model takes {}-wide rows but node {node}'s shard is {} wide",
-                    model.input_dim(),
-                    shard.input_dim()
-                )));
+            if let Some(refusal) = width_refusal(model, shard, &format!("node {node}'s")) {
+                return Some(refusal);
             }
             // Micro-batch sub-slices partition the run contiguously, so
             // concatenating replies in mb order is bit-identical to one
@@ -292,6 +289,20 @@ fn handle(store: &RwLock<PipeStore>, request: Request) -> Option<Reply> {
             }
         }
         Request::Shutdown => return None,
+    })
+}
+
+/// The error reply for a model that is not as wide as `whose` shard's
+/// rows. Extraction and relabel both run the model over shard rows, and
+/// the forward asserts the width; a panic there would take the worker
+/// thread with it.
+fn width_refusal(model: &Mlp, shard: &LabeledDataset, whose: &str) -> Option<Reply> {
+    (model.input_dim() != shard.input_dim()).then(|| {
+        Reply::Error(format!(
+            "model takes {}-wide rows but {whose} shard is {} wide",
+            model.input_dim(),
+            shard.input_dim()
+        ))
     })
 }
 

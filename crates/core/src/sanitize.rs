@@ -1,7 +1,8 @@
 //! Runtime invariant sanitizer — the dynamic cross-check for ndlint's
 //! static concurrency rules. Compiled to no-ops unless the build sets
-//! `RUSTFLAGS='--cfg ndpipe_sanitize'` (CI runs the failover and
-//! event-server suites once in that configuration; see scripts/check.sh).
+//! `RUSTFLAGS='--cfg ndpipe_sanitize'` (CI runs the failover,
+//! event-server and pipelined FT-DMP suites once in that configuration;
+//! see scripts/check.sh).
 //!
 //! Two witnesses:
 //!
@@ -19,6 +20,7 @@
 //!   | 20   | `placement` — the epoch-versioned placement map |
 //!   | 30   | `photos` — per-bucket photo-record locks |
 //!   | 40   | `published` — the published-model snapshot |
+//!   | 50   | `feature_cache` — a store's cached FT-DMP feature slices (held for lookup and insert only) |
 //!   | 90   | `first_error` — terminal error slot (leaf; never nests) |
 //!
 //! - **Channel-depth watchdog**: send-side sampling of the bounded
@@ -38,6 +40,8 @@ pub const RANK_PLACEMENT: u8 = 20;
 pub const RANK_PHOTOS: u8 = 30;
 /// Acquisition rank of the published-model lock.
 pub const RANK_PUBLISHED: u8 = 40;
+/// Acquisition rank of a store's feature-cache lock.
+pub const RANK_FEATURES: u8 = 50;
 /// Acquisition rank of the server's terminal-error slot (leaf).
 pub const RANK_FIRST_ERROR: u8 = 90;
 

@@ -112,6 +112,47 @@ impl Mlp {
             .sum()
     }
 
+    /// The weight-freeze feature-extraction layers (`0..split`).
+    pub fn feature_layers(&self) -> &[Linear] {
+        &self.layers[..self.split]
+    }
+
+    /// Takes `other`'s classifier tail when its weight-freeze prefix is
+    /// this model's bit for bit (same split, same layer dims, every
+    /// weight and bias equal under `f32::to_bits`, so `0.0` and `-0.0`
+    /// differ). The held prefix layers stay, with their version counters
+    /// and prepared forward weights. Otherwise `other` comes back
+    /// untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns `other` when the prefixes differ.
+    pub fn adopt_head(&mut self, other: Mlp) -> Result<(), Mlp> {
+        let same_bits = |a: &Tensor, b: &Tensor| {
+            a.dims() == b.dims()
+                && a.data()
+                    .iter()
+                    .zip(b.data())
+                    .all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        let same_layer = |a: &Linear, b: &Linear| {
+            same_bits(a.weights(), b.weights()) && same_bits(a.bias(), b.bias())
+        };
+        let same_prefix = self.split == other.split
+            && self
+                .feature_layers()
+                .iter()
+                .zip(other.feature_layers())
+                .all(|(a, b)| same_layer(a, b));
+        if !same_prefix {
+            return Err(other);
+        }
+        let head = other.layers.into_iter().skip(other.split);
+        self.layers.truncate(self.split);
+        self.layers.extend(head);
+        Ok(())
+    }
+
     /// The trainable classifier layers (for convergence checks and
     /// Check-N-Run deltas).
     pub fn classifier_layers(&self) -> &[Linear] {
@@ -534,6 +575,41 @@ mod tests {
                 assert!((x1 - x2).abs() < 1e-5);
             }
         }
+    }
+
+    #[test]
+    fn adopt_head_keeps_an_equal_prefix_and_refuses_another() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut held = toy_model(&mut rng);
+        let x = Tensor::randn(&[5, 4], &mut rng);
+        held.features(&x); // prepare the prefix's forward weights
+        let prefix_versions: Vec<u64> = held.feature_layers().iter().map(Linear::version).collect();
+
+        // Same prefix, retrained head: the head comes over, the held
+        // prefix layers (and their version counters) stay.
+        let mut incoming = Mlp::from_bytes(&held.to_bytes()).expect("round trip");
+        let labels = [0usize, 1, 2, 0, 1];
+        incoming.train_step(&x, &labels, 0.1, 0.0, incoming.split());
+        held.adopt_head(incoming.clone()).expect("equal prefix");
+        assert_eq!(held.to_bytes(), incoming.to_bytes());
+        let after: Vec<u64> = held.feature_layers().iter().map(Linear::version).collect();
+        assert_eq!(after, prefix_versions);
+
+        // One prefix bias flipped from 0.0 to -0.0 is another prefix.
+        let mut blob = held.to_bytes();
+        let bias0 = 4 + 8 + 8 + 4 * 12 * 4;
+        assert_eq!(
+            f32::from_le_bytes(blob[bias0..bias0 + 4].try_into().unwrap()),
+            0.0
+        );
+        blob[bias0..bias0 + 4].copy_from_slice(&(-0.0f32).to_le_bytes());
+        let other = Mlp::from_bytes(&blob).expect("patched blob");
+        let back = held.adopt_head(other).expect_err("prefix differs");
+        assert_eq!(
+            back.to_bytes(),
+            blob,
+            "the refused model comes back untouched"
+        );
     }
 
     #[test]

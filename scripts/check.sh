@@ -51,11 +51,13 @@ cargo test -q --release --test ftdmp_pipeline -- --ignored
 # Event-loop soak: ≥1000 concurrent sessions, zero lost replies, p99
 # asserted from the server's telemetry histograms.
 cargo test -q --release --test rpc_event_server -- --ignored
-# Runtime invariant sanitizer: re-run the failover + event-server suites
-# (soaks included) with the lock-order witness and channel-depth
-# watchdog armed. A separate target dir keeps the cfg'd artifacts from
-# thrashing the main cache.
+# Runtime invariant sanitizer: re-run the failover, event-server and
+# pipelined FT-DMP suites (soaks included) with the lock-order witness and
+# channel-depth watchdog armed. The FT-DMP suite has two server workers
+# extracting concurrently through each store's feature cache, and its
+# slow-peer soak steals slices. A separate target dir keeps the cfg'd
+# artifacts from thrashing the main cache.
 RUSTFLAGS='--cfg ndpipe_sanitize' CARGO_TARGET_DIR=target/sanitize \
-    cargo test -q --release --test cluster_failover --test rpc_event_server
+    cargo test -q --release --test cluster_failover --test rpc_event_server --test ftdmp_pipeline
 RUSTFLAGS='--cfg ndpipe_sanitize' CARGO_TARGET_DIR=target/sanitize \
-    cargo test -q --release --test cluster_failover --test rpc_event_server -- --ignored
+    cargo test -q --release --test cluster_failover --test rpc_event_server --test ftdmp_pipeline -- --ignored
