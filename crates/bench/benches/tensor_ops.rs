@@ -3,7 +3,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tensor::conv::{conv2d, max_pool2d, Conv2dSpec};
 use tensor::linalg::Gemm;
 use tensor::{activation, Tensor};
 
@@ -40,19 +39,6 @@ fn bench_matmul_variants(c: &mut Criterion) {
     });
 }
 
-fn bench_conv(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(3);
-    let input = Tensor::randn(&[1, 16, 32, 32], &mut rng);
-    let weight = Tensor::randn(&[32, 16, 3, 3], &mut rng);
-    let spec = Conv2dSpec::new(3, 1, 1);
-    c.bench_function("conv2d_16x32x32_3x3", |bench| {
-        bench.iter(|| conv2d(std::hint::black_box(&input), &weight, None, spec))
-    });
-    c.bench_function("max_pool2d_16x32x32", |bench| {
-        bench.iter(|| max_pool2d(std::hint::black_box(&input), Conv2dSpec::new(2, 2, 0)))
-    });
-}
-
 fn bench_softmax(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(4);
     let logits = Tensor::randn(&[256, 1000], &mut rng);
@@ -61,11 +47,5 @@ fn bench_softmax(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_matmul,
-    bench_matmul_variants,
-    bench_conv,
-    bench_softmax
-);
+criterion_group!(benches, bench_matmul, bench_matmul_variants, bench_softmax);
 criterion_main!(benches);

@@ -243,6 +243,36 @@ pub(crate) fn check_shard(
     Ok(())
 }
 
+/// The one rule a `Features` reply must meet, for the socket driver that
+/// cannot trust it: `task`'s slice of a `shard_len`-row shard comes back
+/// as exactly that many rows of `model.feature_dim()` features and as
+/// many labels, each one of `model`'s classes. Anything else would panic
+/// the Tuner's training step or train on the wrong rows.
+///
+/// # Errors
+///
+/// A static description of the first rule broken.
+pub(crate) fn check_features(
+    task: &SliceTask,
+    shard_len: usize,
+    config: &FtdmpConfig,
+    features: &Tensor,
+    labels: &[usize],
+    model: &Mlp,
+) -> Result<(), &'static str> {
+    let rows = slice_bounds(shard_len, task.run, config.n_run, task.mb, task.n_mb).len();
+    if features.dims() != [rows, model.feature_dim()] {
+        return Err("feature matrix does not fit the slice");
+    }
+    if labels.len() != rows {
+        return Err("label count does not fit the slice");
+    }
+    if labels.iter().any(|&l| l >= model.num_classes()) {
+        return Err("label outside the model's classes");
+    }
+    Ok(())
+}
+
 fn validate(
     tuner: &Tuner,
     stores: &[PipeStore],

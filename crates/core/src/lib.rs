@@ -34,9 +34,6 @@
 //! - [`experiment`] — reusable drivers for the paper's accuracy
 //!   experiments (Fig 4, Fig 17, Tables 1–2) shared by benches, examples
 //!   and tests.
-//! - [`extensions`] — the §7.1 sketches implemented: video key-frame
-//!   summarization, audio spectrogram transformation, and document
-//!   embeddings, all producing compact near-data representations.
 //!
 //! # Quickstart
 //!
@@ -59,7 +56,6 @@
 pub mod apo;
 pub mod checknrun;
 pub mod experiment;
-pub mod extensions;
 pub mod ftdmp;
 pub mod labeldb;
 pub mod npe;

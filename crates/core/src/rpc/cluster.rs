@@ -13,7 +13,8 @@
 use crate::checknrun::ModelDelta;
 use crate::ftdmp::schedule::{Schedule, SliceTask};
 use crate::ftdmp::{
-    check_shard, record_job, FtdmpConfig, FtdmpError, FtdmpReport, Origin, ScheduleStats,
+    check_features, check_shard, record_job, FtdmpConfig, FtdmpError, FtdmpReport, Origin,
+    ScheduleStats,
 };
 use crate::placement::PlacementMap;
 use crate::rpc::client::{ConnectOptions, RemotePipeStore};
@@ -1212,15 +1213,25 @@ impl Cluster {
                 else {
                     return Err(ClusterError::Config("unmatched extract reply"));
                 };
-                let error = match reply.result.and_then(Reply::into_typed) {
+                let error = match reply
+                    .result
+                    .and_then(Reply::into_typed::<(Tensor, Vec<usize>)>)
+                {
                     Ok((features, labels)) => {
-                        feature_bytes += reply.recv_bytes as usize;
-                        sched.complete(task, features, labels);
-                        continue;
+                        let shard = lens.get(&task.node).copied().unwrap_or(0);
+                        let model = tuner.model();
+                        match check_features(&task, shard, config, &features, &labels, model) {
+                            Ok(()) => {
+                                feature_bytes += reply.recv_bytes as usize;
+                                sched.complete(task, features, labels);
+                                continue;
+                            }
+                            Err(why) => RpcError::Protocol(why),
+                        }
                     }
                     Err(error) => error,
                 };
-                // A failed or malformed reply counts the peer out.
+                // A failed, malformed or misfit reply counts the peer out.
                 live.retain(|&p| p != reply.index);
                 failures.push(PeerFailure::new(
                     reply.index,

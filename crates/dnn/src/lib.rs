@@ -18,16 +18,13 @@
 //! [`convergence`] implements the δ-balance / deficiency-margin machinery
 //! of the paper's §5.2 convergence analysis (Theorem 5.1, Lemma 5.2).
 
-pub mod cnn;
 pub mod convergence;
 pub mod linear;
 pub mod mlp;
-pub mod optim;
 pub mod profile;
 pub mod trainer;
 
 pub use linear::Linear;
 pub use mlp::Mlp;
-pub use optim::Optimizer;
 pub use profile::{ModelProfile, StageProfile};
 pub use trainer::{EvalMetrics, TrainConfig, Trainer};

@@ -31,8 +31,6 @@ pub struct Linear {
     b: Tensor,
     vw: Tensor,
     vb: Tensor,
-    /// Adam state, allocated on first Adam step: (m_w, v_w, m_b, v_b, t).
-    adam: Option<AdamState>,
     /// Version counter for `w`, bumped on every weight mutation. Keys the
     /// packed-forward-weight cache: frozen layers (never mutated) pack
     /// once and reuse the panels every batch.
@@ -64,20 +62,10 @@ impl Clone for Linear {
             b: self.b.clone(),
             vw: self.vw.clone(),
             vb: self.vb.clone(),
-            adam: self.adam.clone(),
             w_version: self.w_version,
             packed: Mutex::new(packed),
         }
     }
-}
-
-#[derive(Debug, Clone)]
-struct AdamState {
-    mw: Tensor,
-    vw: Tensor,
-    mb: Tensor,
-    vb: Tensor,
-    t: u32,
 }
 
 /// Gradients of a [`Linear`] layer for one batch.
@@ -104,8 +92,22 @@ impl Linear {
             b: Tensor::zeros(&[d_out]),
             vw: Tensor::zeros(&[d_out, d_in]),
             vb: Tensor::zeros(&[d_out]),
-            adam: None,
             w_version: 0,
+            packed: Mutex::new(None),
+        }
+    }
+
+    /// A layer holding exactly `w` (`[out, in]`) and `b` (`[out]`), with
+    /// zero momentum. Its version is 1: one weight install past a fresh
+    /// layer, which is what a decoded layer has always reported.
+    /// `Mlp::from_bytes` checks the shapes before calling this.
+    pub(crate) fn from_weights(w: Tensor, b: Tensor) -> Self {
+        Linear {
+            vw: Tensor::zeros(w.dims()),
+            vb: Tensor::zeros(b.dims()),
+            w,
+            b,
+            w_version: 1,
             packed: Mutex::new(None),
         }
     }
@@ -241,57 +243,6 @@ impl Linear {
         self.b = self.b.add(&self.vb);
         self.bump_version();
     }
-
-    /// One update step under any [`crate::optim::Optimizer`]. For SGD this is exactly
-    /// [`Linear::apply`]; Adam allocates its moment state lazily.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive or gradient shapes differ.
-    pub fn step(&mut self, grads: &LinearGrads, lr: f32, opt: crate::optim::Optimizer) {
-        use crate::optim::Optimizer;
-        match opt {
-            Optimizer::Sgd { momentum } => self.apply(grads, lr, momentum),
-            Optimizer::Adam { beta1, beta2, eps } => {
-                assert!(lr > 0.0, "learning rate must be positive");
-                let state = self.adam.get_or_insert_with(|| AdamState {
-                    mw: Tensor::zeros(self.w.dims()),
-                    vw: Tensor::zeros(self.w.dims()),
-                    mb: Tensor::zeros(self.b.dims()),
-                    vb: Tensor::zeros(self.b.dims()),
-                    t: 0,
-                });
-                state.t += 1;
-                let t = state.t as f32;
-                let bc1 = 1.0 - beta1.powf(t);
-                let bc2 = 1.0 - beta2.powf(t);
-                let adam_update =
-                    |theta: &mut Tensor, m: &mut Tensor, v: &mut Tensor, g: &Tensor| {
-                        for i in 0..g.len() {
-                            let gi = g.data()[i];
-                            let mi = beta1 * m.data()[i] + (1.0 - beta1) * gi;
-                            let vi = beta2 * v.data()[i] + (1.0 - beta2) * gi * gi;
-                            m.data_mut()[i] = mi;
-                            v.data_mut()[i] = vi;
-                            let m_hat = mi / bc1;
-                            let v_hat = vi / bc2;
-                            theta.data_mut()[i] -= lr * m_hat / (v_hat.sqrt() + eps);
-                        }
-                    };
-                adam_update(&mut self.w, &mut state.mw, &mut state.vw, &grads.dw);
-                adam_update(&mut self.b, &mut state.mb, &mut state.vb, &grads.db);
-                self.bump_version();
-            }
-        }
-    }
-
-    /// Resets momentum buffers and Adam state (used between pipeline
-    /// runs).
-    pub fn reset_momentum(&mut self) {
-        self.vw = Tensor::zeros(self.vw.dims());
-        self.vb = Tensor::zeros(self.vb.dims());
-        self.adam = None;
-    }
 }
 
 #[cfg(test)]
@@ -382,42 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn adam_descends_on_a_toy_problem() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut l = Linear::new(2, 2, &mut rng);
-        let x = Tensor::from_vec(vec![1.0, 0.3, -1.0, 0.1, 2.0, -0.5, -2.0, 0.8], &[4, 2]);
-        let labels = [0usize, 1, 0, 1];
-        let opt = crate::optim::Optimizer::adam();
-        let mut first = 0.0;
-        let mut last = 0.0;
-        for step in 0..200 {
-            let logits = l.forward(&x);
-            let loss = activation::cross_entropy(&logits, &labels);
-            if step == 0 {
-                first = loss;
-            }
-            last = loss;
-            let dy = activation::cross_entropy_grad(&logits, &labels);
-            let g = l.backward(&x, &dy);
-            l.step(&g, 0.05, opt);
-        }
-        assert!(last < first * 0.1, "adam loss {first} -> {last}");
-    }
-
-    #[test]
-    fn adam_state_resets_with_momentum() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut l = Linear::new(2, 2, &mut rng);
-        let x = Tensor::randn(&[2, 2], &mut rng);
-        let dy = Tensor::randn(&[2, 2], &mut rng);
-        let g = l.backward(&x, &dy);
-        l.step(&g, 0.01, crate::optim::Optimizer::adam());
-        assert!(l.adam.is_some());
-        l.reset_momentum();
-        assert!(l.adam.is_none());
-    }
-
-    #[test]
     fn packed_cache_invalidates_on_every_mutation_path() {
         let mut rng = StdRng::seed_from_u64(9);
         let mut l = Linear::new(6, 4, &mut rng);
@@ -440,9 +355,6 @@ mod tests {
         let g = l.backward(&x, &dy);
         l.apply(&g, 0.1, 0.9);
         assert_eq!(l.forward(&x), fresh(&l, &x), "after sgd apply");
-
-        l.step(&g, 0.01, crate::optim::Optimizer::adam());
-        assert_eq!(l.forward(&x), fresh(&l, &x), "after adam step");
 
         // Clones carry the cache but stay independent.
         let c = l.clone();
@@ -475,18 +387,5 @@ mod tests {
         l.set_weights(l.weights().scale(2.0), l.bias().clone());
         let after = l.forward_with(&x, MathPolicy::Int8);
         assert_ne!(before.data(), after.data(), "int8 cache went stale");
-    }
-
-    #[test]
-    fn momentum_reset() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut l = Linear::new(2, 2, &mut rng);
-        let x = Tensor::randn(&[2, 2], &mut rng);
-        let dy = Tensor::randn(&[2, 2], &mut rng);
-        let g = l.backward(&x, &dy);
-        l.apply(&g, 0.1, 0.9);
-        assert!(l.vw.frobenius_norm() > 0.0);
-        l.reset_momentum();
-        assert_eq!(l.vw.frobenius_norm(), 0.0);
     }
 }

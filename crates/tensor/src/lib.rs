@@ -14,11 +14,10 @@
 //! - [`quant`] — symmetric int8 quantization and the `i8×i8→i32`
 //!   inference kernel behind [`MathPolicy::Int8`],
 //! - [`pack`] — panel packing + thread-local scratch feeding the GEMM
-//!   microkernel, and the prepacked-operand types the frozen-layer
+//!   microkernel, and the prepacked right operand the frozen-layer
 //!   weight cache stores,
 //! - [`pool`] — the persistent worker pool every parallel kernel in the
 //!   workspace shares (honours `NDPIPE_THREADS`),
-//! - [`conv`] — im2col 2-D convolution and max/average pooling,
 //! - [`activation`] — ReLU, GELU, sigmoid, (log-)softmax,
 //! - [`init`] — Kaiming/Xavier weight initializers over a seeded RNG.
 //!
@@ -39,7 +38,6 @@
 //! ```
 
 pub mod activation;
-pub mod conv;
 pub mod init;
 pub mod linalg;
 pub mod pack;
@@ -51,11 +49,15 @@ pub mod tensor;
 
 pub use policy::{default_math_policy, set_default_math_policy, MathPolicy};
 pub use shape::Shape;
+/// The workspace's one bounded byte reader and its writers, re-exported
+/// so crates above `tensor` (the `Mlp` codec) share it without a new
+/// dependency edge.
+pub use telemetry::codec;
 pub use tensor::{argmax_of, Tensor};
 
-/// Thread budget for parallel kernels ([`linalg::Gemm`],
-/// [`conv::conv2d`]): the `NDPIPE_THREADS` environment variable when set
-/// (minimum 1), otherwise the machine's available parallelism.
+/// Thread budget for parallel kernels ([`linalg::Gemm`]): the
+/// `NDPIPE_THREADS` environment variable when set (minimum 1), otherwise
+/// the machine's available parallelism.
 ///
 /// Every parallel kernel in this crate partitions work into bands that
 /// are each computed by the serial kernel, so results are bit-identical

@@ -21,11 +21,10 @@
 //! `matmul_nt` (B read column-major from an `[n, k]` buffer): transposes
 //! are absorbed into the pack strides and never materialized.
 //!
-//! Scratch buffers ([`with_pack_a`], [`with_pack_b`], [`with_im2col`])
-//! are thread-local and keep their capacity across calls, so steady-state
-//! GEMM and conv do no per-call (or per-image) allocation. They are
-//! distinct cells because they nest: a conv task holds the im2col buffer
-//! while the GEMM inside it borrows the pack buffers.
+//! Scratch buffers ([`with_pack_a`], [`with_pack_b`]) are thread-local
+//! and keep their capacity across calls, so steady-state GEMM does no
+//! per-call allocation. They are distinct cells because they nest: a
+//! band packs its rows of A while the call holds the packed B.
 
 use crate::Tensor;
 use std::cell::RefCell;
@@ -176,36 +175,6 @@ pub(crate) fn pack_b_panels_wide(b: &MatRef<'_>, buf: &mut Vec<f32>) {
     }
 }
 
-/// An owned, fully packed left operand (`[m, k]`), reusable across calls.
-/// Produced once per conv2d call (or cached per frozen layer) so every
-/// image/band skips the A-pack pass.
-#[derive(Debug, Clone)]
-pub struct PackedA {
-    pub(crate) buf: Vec<f32>,
-    pub(crate) m: usize,
-    pub(crate) k: usize,
-}
-
-impl PackedA {
-    /// Packs a row-major `[m, k]` matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `a` is rank 2.
-    pub fn pack(a: &Tensor) -> Self {
-        assert_eq!(a.shape().rank(), 2, "PackedA::pack needs a matrix");
-        let (m, k) = (a.dims()[0], a.dims()[1]);
-        let mut buf = Vec::new();
-        pack_a_panels(&MatRef::row_major(a.data(), m, k), 0, m, &mut buf);
-        PackedA { buf, m, k }
-    }
-
-    /// Logical dimensions `[m, k]`.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.m, self.k)
-    }
-}
-
 /// An owned, fully packed right operand (`[k, n]`), reusable across calls.
 /// This is what the frozen-layer packed-weight cache stores.
 #[derive(Debug, Clone)]
@@ -253,7 +222,6 @@ impl PackedB {
 thread_local! {
     static PACK_A_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     static PACK_B_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    static IM2COL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Runs `f` with this thread's A-pack scratch buffer (capacity persists).
@@ -264,11 +232,6 @@ pub(crate) fn with_pack_a<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
 /// Runs `f` with this thread's B-pack scratch buffer (capacity persists).
 pub(crate) fn with_pack_b<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
     PACK_B_SCRATCH.with(|c| f(&mut c.borrow_mut()))
-}
-
-/// Runs `f` with this thread's im2col scratch buffer (capacity persists).
-pub(crate) fn with_im2col<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
-    IM2COL_SCRATCH.with(|c| f(&mut c.borrow_mut()))
 }
 
 #[cfg(test)]

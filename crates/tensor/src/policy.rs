@@ -12,8 +12,8 @@
 //!   from the oracle by bounded rounding noise (tolerance-gated tests).
 //! - [`MathPolicy::Int8`] — opt-in symmetric int8 quantized inference
 //!   ([`crate::quant`]): per-tensor scales, `i8×i8→i32` accumulation,
-//!   dequantize epilogue. For kernels with no integer path (e.g.
-//!   convolution, training gradients) this behaves like `Fast`.
+//!   dequantize on write-back. For products with no integer path (a
+//!   prepacked f32 right operand) this behaves like `Fast`.
 //!
 //! The process-wide default comes from the `NDPIPE_MATH` environment
 //! variable (`deterministic` | `fast` | `int8`, unset ⇒ deterministic),

@@ -1,10 +1,9 @@
 //! Persistent chunked worker pool shared by every parallel kernel.
 //!
-//! PR 1 parallelized `matmul`/`conv2d`/the codec by spawning a fresh
-//! `crossbeam::thread::scope` per call — a few hundred microseconds of
-//! thread creation on every large GEMM. This module replaces those spawns
-//! with one process-wide pool of long-lived workers and a chunked
-//! self-scheduling job queue:
+//! Spawning a fresh `crossbeam::thread::scope` per parallel call costs a
+//! few hundred microseconds of thread creation on every large GEMM. This
+//! module avoids those spawns with one process-wide pool of long-lived
+//! workers and a chunked self-scheduling job queue:
 //!
 //! - [`run`] executes `n_tasks` closures; workers (and the caller, which
 //!   always participates) claim task indices from a shared atomic counter,

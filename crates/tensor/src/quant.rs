@@ -17,9 +17,8 @@
 //!   is bit-reproducible across hosts and thread counts by
 //!   construction. (`k` must stay below ~2^17 to rule out i32 overflow;
 //!   every model in this workspace is orders of magnitude smaller.)
-//! - **Dequantize epilogue.** The i32 accumulator is scaled by
-//!   `scale_a * scale_b` back to f32, then any fused
-//!   [`Epilogue`](crate::linalg::Epilogue) is applied.
+//! - **Dequantize on write-back.** The i32 accumulator is scaled by
+//!   `scale_a * scale_b` back to f32.
 //!
 //! The absolute error of one output element is bounded by
 //! `k * (max|a|·s_b/2 + max|b|·s_a/2 + s_a·s_b/4)` — each factor is off
@@ -28,7 +27,7 @@
 //! paper's accuracy ordering (Base ≥ NDPipe > Outdated) under `Int8`,
 //! with the measured delta recorded in `BENCH_gemm_fast.json`.
 
-use crate::linalg::{count_gemm_flops, Epilogue};
+use crate::linalg::count_gemm_flops;
 use crate::pack::MatRef;
 use crate::Tensor;
 
@@ -131,8 +130,8 @@ fn quantize_one(x: f32, inv_scale: f32) -> i8 {
 /// `a @ b` through the int8 path: both operands are dynamically
 /// quantized (a row-major, b transposed so its columns become contiguous
 /// `k`-vectors), multiplied with exact integer accumulation, and
-/// dequantized with the fused epilogue.
-pub(crate) fn gemm_int8(a: &MatRef<'_>, b: &MatRef<'_>, epi: &Epilogue<'_>) -> Tensor {
+/// dequantized.
+pub(crate) fn gemm_int8(a: &MatRef<'_>, b: &MatRef<'_>) -> Tensor {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     debug_assert_eq!(b.rows, k);
     let aq = quantize_view(a);
@@ -147,7 +146,7 @@ pub(crate) fn gemm_int8(a: &MatRef<'_>, b: &MatRef<'_>, epi: &Epilogue<'_>) -> T
     };
     let bq = quantize_view(&bt);
     count_gemm_flops(m, n, k, true);
-    let out = matmul_quantized(&aq, &bq, epi);
+    let out = matmul_quantized(&aq, &bq);
     debug_assert_eq!(out.dims(), &[m, n]);
     out
 }
@@ -167,12 +166,12 @@ pub fn matmul_nt_quant(x: &Tensor, wq: &QuantizedMatrix) -> Tensor {
     assert_eq!(k, wk, "matmul_nt_quant inner dimension mismatch");
     let xq = quantize_view(&MatRef::row_major(x.data(), m, k));
     count_gemm_flops(m, n, k, true);
-    matmul_quantized(&xq, wq, &Epilogue::None)
+    matmul_quantized(&xq, wq)
 }
 
 /// Core kernel: `aq: [m, k]` × `bqᵀ: [n, k]` (both row-major over `k`),
-/// i32 accumulation, dequant + epilogue on write-back.
-fn matmul_quantized(aq: &QuantizedMatrix, bq: &QuantizedMatrix, epi: &Epilogue<'_>) -> Tensor {
+/// i32 accumulation, dequant on write-back.
+fn matmul_quantized(aq: &QuantizedMatrix, bq: &QuantizedMatrix) -> Tensor {
     let (m, k) = aq.dims();
     let (n, _) = bq.dims();
     let rescale = aq.scale() * bq.scale();
@@ -180,13 +179,6 @@ fn matmul_quantized(aq: &QuantizedMatrix, bq: &QuantizedMatrix, epi: &Epilogue<'
     for i in 0..m {
         let arow = aq.row(i);
         let orow = &mut out[i * n..(i + 1) * n];
-        let bias = match epi {
-            Epilogue::BiasRelu(b) => {
-                debug_assert_eq!(b.len(), m);
-                Some(b[i])
-            }
-            _ => None,
-        };
         for (j, o) in orow.iter_mut().enumerate() {
             let brow = bq.row(j);
             let mut acc = 0i32;
@@ -195,12 +187,7 @@ fn matmul_quantized(aq: &QuantizedMatrix, bq: &QuantizedMatrix, epi: &Epilogue<'
             for kk in 0..k {
                 acc += arow[kk] as i32 * brow[kk] as i32;
             }
-            let v = acc as f32 * rescale;
-            *o = match epi {
-                Epilogue::None => v,
-                Epilogue::Relu => v.max(0.0),
-                Epilogue::BiasRelu(_) => (v + bias.unwrap_or(0.0)).max(0.0),
-            };
+            *o = acc as f32 * rescale;
         }
     }
     Tensor::from_vec(out, &[m, n])

@@ -4,106 +4,11 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tensor::conv::{avg_pool2d, conv2d, global_avg_pool, max_pool2d, Conv2dSpec};
 use tensor::linalg::Gemm;
 use tensor::{activation, Tensor};
 
-fn naive_conv(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Tensor {
-    let (n, c_in, h, w) = (
-        input.dims()[0],
-        input.dims()[1],
-        input.dims()[2],
-        input.dims()[3],
-    );
-    let (c_out, _, k, _) = (
-        weight.dims()[0],
-        weight.dims()[1],
-        weight.dims()[2],
-        weight.dims()[3],
-    );
-    let oh = spec.out_size(h);
-    let ow = spec.out_size(w);
-    let mut out = Tensor::zeros(&[n, c_out, oh, ow]);
-    for b in 0..n {
-        for co in 0..c_out {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0f32;
-                    for ci in 0..c_in {
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                                let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                                if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                                    acc += input.at(&[b, ci, iy as usize, ix as usize])
-                                        * weight.at(&[co, ci, ky, kx]);
-                                }
-                            }
-                        }
-                    }
-                    out.set(&[b, co, oy, ox], acc);
-                }
-            }
-        }
-    }
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// im2col convolution agrees with the 7-loop reference on arbitrary
-    /// shapes, strides and paddings.
-    #[test]
-    fn conv_matches_reference(
-        seed in 0u64..500,
-        n in 1usize..3,
-        c_in in 1usize..4,
-        c_out in 1usize..4,
-        hw in 3usize..9,
-        k in 1usize..4,
-        stride in 1usize..3,
-        padding in 0usize..2,
-    ) {
-        prop_assume!(hw + 2 * padding >= k);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let input = Tensor::randn(&[n, c_in, hw, hw], &mut rng);
-        let weight = Tensor::randn(&[c_out, c_in, k, k], &mut rng);
-        let spec = Conv2dSpec::new(k, stride, padding);
-        let fast = conv2d(&input, &weight, None, spec);
-        let slow = naive_conv(&input, &weight, spec);
-        prop_assert_eq!(fast.dims(), slow.dims());
-        for (a, b) in fast.data().iter().zip(slow.data()) {
-            prop_assert!((a - b).abs() < 1e-3, "{} vs {}", a, b);
-        }
-    }
-
-    /// Max pool dominates average pool pointwise on non-padded windows.
-    #[test]
-    fn max_pool_dominates_avg_pool(seed in 0u64..500, hw in 2usize..9) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let input = Tensor::randn(&[1, 2, hw, hw], &mut rng);
-        let spec = Conv2dSpec::new(2, 2, 0);
-        prop_assume!(hw >= 2);
-        let mx = max_pool2d(&input, spec);
-        let av = avg_pool2d(&input, spec);
-        for (m, a) in mx.data().iter().zip(av.data()) {
-            prop_assert!(m >= a);
-        }
-    }
-
-    /// Global average pooling equals the channel means.
-    #[test]
-    fn gap_is_channel_mean(seed in 0u64..500, c in 1usize..5, hw in 1usize..8) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let input = Tensor::randn(&[1, c, hw, hw], &mut rng);
-        let gap = global_avg_pool(&input);
-        for ch in 0..c {
-            let plane = &input.data()[ch * hw * hw..(ch + 1) * hw * hw];
-            let mean = plane.iter().sum::<f32>() / (hw * hw) as f32;
-            prop_assert!((gap.data()[ch] - mean).abs() < 1e-5);
-        }
-    }
 
     /// Cross-entropy gradients match central finite differences at
     /// random points.

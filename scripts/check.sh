@@ -5,6 +5,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+# Every target of every crate, so the criterion benches and examples
+# compile even though no test runs them.
+cargo build --release --workspace --all-targets
 # Root suite plus every crate's own unit/property tests (the schedule
 # state machine, wire codecs, ndlint's fixtures, ... live there).
 cargo test -q --workspace
