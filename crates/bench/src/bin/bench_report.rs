@@ -3,15 +3,14 @@
 //! `results/BENCH_gemm_kernel.json`,
 //! `results/BENCH_gemm_fast.json`,
 //! `results/BENCH_telemetry_overhead.json`,
-//! `results/BENCH_cluster_fanout.json`,
 //! `results/BENCH_rpc_concurrency.json`,
 //! `results/BENCH_placement.json`, and
 //! `results/BENCH_ftdmp_pipeline.json`). Pass `--fast` for smaller
 //! (noisier) configurations.
 
 use bench::reports::{
-    cluster_fanout, ftdmp_pipeline, gemm_fast, gemm_kernel, npe_pipeline, placement_rebalance,
-    rpc_concurrency, telemetry_overhead,
+    ftdmp_pipeline, gemm_fast, gemm_kernel, npe_pipeline, placement_rebalance, rpc_concurrency,
+    telemetry_overhead,
 };
 use std::fs;
 
@@ -66,19 +65,6 @@ fn main() {
     telemetry::export::validate_json(&json).expect("overhead json well-formed");
     let path = out_dir.join("BENCH_telemetry_overhead.json");
     fs::write(&path, json).expect("write overhead json");
-    println!("\n# wrote {}", path.display());
-
-    let params = if fast {
-        cluster_fanout::FanoutParams::fast()
-    } else {
-        cluster_fanout::FanoutParams::full()
-    };
-    let m = cluster_fanout::measure_with(&params);
-    println!("\n{}", cluster_fanout::render(&m));
-    let json = cluster_fanout::to_json(&m);
-    telemetry::export::validate_json(&json).expect("fanout json well-formed");
-    let path = out_dir.join("BENCH_cluster_fanout.json");
-    fs::write(&path, json).expect("write fanout json");
     println!("\n# wrote {}", path.display());
 
     let params = if fast {

@@ -3,7 +3,6 @@
 pub mod ablations;
 pub mod artifact;
 pub mod check_n_run;
-pub mod cluster_fanout;
 pub mod fig04_drift;
 pub mod fig05_bottleneck;
 pub mod fig06_ndp_breakdown;
@@ -53,7 +52,6 @@ pub fn run_all(fast: bool) -> Vec<(&'static str, String)> {
         ("gemm_kernel", gemm_kernel::run(fast)),
         ("gemm_fast", gemm_fast::run(fast)),
         ("telemetry_overhead", telemetry_overhead::run(fast)),
-        ("cluster_fanout", cluster_fanout::run(fast)),
         ("ftdmp_pipeline", ftdmp_pipeline::run(fast)),
         ("rpc_concurrency", rpc_concurrency::run(fast)),
         ("placement_rebalance", placement_rebalance::run(fast)),

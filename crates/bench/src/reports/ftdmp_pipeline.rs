@@ -12,8 +12,8 @@
 //! repeat; each path reports its best sweep.
 //!
 //! Besides the speedup the artifact records the two acceptance facts the
-//! schedule is sold on: `S = 0` bit-identity against the reference
-//! barrier schedule (`ftdmp_fine_tune_reference`), and the accuracy
+//! schedule is sold on: `S = 0` bit-identity against the in-process
+//! barrier schedule (`ftdmp_fine_tune`, the oracle), and the accuracy
 //! ordering Base ≥ NDPipe > Outdated (Base is the Tuner's
 //! full-precision master, NDPipe a store replica rebuilt from 8-bit
 //! Check-N-Run deltas — ties allowed — and Outdated the never-fine-tuned
@@ -301,7 +301,7 @@ fn measure_pinned(p: &PipelineParams) -> PipelineMeasurements {
     let quorum = p.peers.saturating_sub(1).max(1);
     let delay = Duration::from_micros(p.slow_row_delay_us);
 
-    // Oracle first: S = 0 over sockets vs the in-process reference
+    // Oracle first: S = 0 over sockets vs the in-process barrier
     // schedule on local clones of the same shards, bit for bit, on a
     // healthy fleet (no straggler — this checks semantics, not speed,
     // and one round keeps it cheap).
@@ -317,7 +317,7 @@ fn measure_pinned(p: &PipelineParams) -> PipelineMeasurements {
         .map(|(i, shard)| PipeStore::new(i, shard.clone()))
         .collect();
     let reference =
-        ndpipe::ftdmp_fine_tune_reference(&mut ref_tuner, &mut ref_stores, &s0, &mut ref_rng)
+        ndpipe::ftdmp_fine_tune(&mut ref_tuner, &mut ref_stores, &s0, &mut ref_rng)
             .expect("reference oracle job");
 
     let mut s0_tuner = Tuner::new(model.clone(), train);

@@ -16,10 +16,10 @@
 //! | [`Schedule::mark_trained`] | the staleness window advances |
 //! | [`Schedule::run_ready`] / [`Schedule::take_run`] | run `g`'s features, stacked in `(node, micro-batch)` order whoever served what |
 //!
-//! The in-process driver ([`super::ftdmp_fine_tune`]) and the socket
-//! driver (`Cluster::ftdmp_fine_tune_pipelined`) only move tasks and
-//! results between this type and their transport. The run-at-a-time
-//! barrier schedule is the configuration `S = 0`, not a code path.
+//! Its one driver, `Cluster::ftdmp_fine_tune_pipelined`, only moves
+//! tasks and results between this type and the sockets. The in-process
+//! [`super::ftdmp_fine_tune`] does not use it: it is the run-at-a-time
+//! barrier the driver must match bit for bit at every `S`.
 //!
 //! This file is an ndlint no-panic zone: the socket driver's guarantee
 //! that a flaky peer never panics the Tuner follows the decisions here.

@@ -69,10 +69,7 @@ pub mod tuner;
 
 pub use apo::{pareto_front, ApoInput, ApoResult, ParetoFront, ParetoInput, ParetoPoint};
 pub use checknrun::ModelDelta;
-pub use ftdmp::{
-    ftdmp_fine_tune, ftdmp_fine_tune_reference, FtdmpConfig, FtdmpError, FtdmpReport,
-    ScheduleStats,
-};
+pub use ftdmp::{ftdmp_fine_tune, FtdmpConfig, FtdmpError, FtdmpReport, ScheduleStats};
 pub use labeldb::LabelDb;
 pub use placement::{PlacementError, PlacementMap};
 pub use pipestore::PipeStore;

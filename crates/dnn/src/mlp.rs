@@ -234,35 +234,13 @@ impl Mlp {
             freeze_below < self.layers.len(),
             "freeze_below leaves no trainable layer"
         );
-        // Forward with caches: inputs[i] is the input to layer i,
-        // pre[i] its pre-activation output.
-        let mut inputs = Vec::with_capacity(self.layers.len());
-        let mut pre = Vec::with_capacity(self.layers.len());
+        // The frozen layers run forward only; training starts at
+        // `freeze_below`.
         let mut h = x.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            inputs.push(h.clone());
-            let z = layer.forward(&h);
-            pre.push(z.clone());
-            h = if i + 1 < self.layers.len() {
-                activation::relu(&z)
-            } else {
-                z
-            };
+        for layer in &self.layers[..freeze_below] {
+            h = activation::relu(&layer.forward(&h));
         }
-        let logits = h;
-        let loss = activation::cross_entropy(&logits, labels);
-        let mut dy = activation::cross_entropy_grad(&logits, labels);
-
-        for i in (freeze_below..self.layers.len()).rev() {
-            let grads = self.layers[i].backward(&inputs[i], &dy);
-            self.layers[i].apply(&grads, lr, momentum);
-            if i > freeze_below {
-                // Gradient through the ReLU that preceded layer i.
-                let mask = activation::relu_grad_mask(&pre[i - 1]);
-                dy = grads.dx.mul(&mask);
-            }
-        }
-        loss
+        self.sgd_step_from(freeze_below, h, labels, lr, momentum)
     }
 
     /// One fine-tuning step from *precomputed features* (the Tuner-side
@@ -275,27 +253,38 @@ impl Mlp {
         lr: f32,
         momentum: f32,
     ) -> f32 {
-        let split = self.split;
-        let tail = self.layers.len() - split;
-        let mut inputs = Vec::with_capacity(tail);
-        let mut pre = Vec::with_capacity(tail);
-        let mut h = features.clone();
-        for (k, layer) in self.layers[split..].iter().enumerate() {
+        self.sgd_step_from(self.split, features.clone(), labels, lr, momentum)
+    }
+
+    /// The one backprop loop: forward from layer `start` with caches,
+    /// cross-entropy on the logits, then backward and update every layer
+    /// from the last down to `start`. `h` is layer `start`'s input.
+    fn sgd_step_from(
+        &mut self,
+        start: usize,
+        mut h: Tensor,
+        labels: &[usize],
+        lr: f32,
+        momentum: f32,
+    ) -> f32 {
+        let n = self.layers.len();
+        // inputs[k] is the input to layer start + k, pre[k] its
+        // pre-activation output.
+        let mut inputs = Vec::with_capacity(n - start);
+        let mut pre = Vec::with_capacity(n - start);
+        for (i, layer) in self.layers.iter().enumerate().skip(start) {
             inputs.push(h.clone());
             let z = layer.forward(&h);
             pre.push(z.clone());
-            h = if split + k + 1 < self.layers.len() {
-                activation::relu(&z)
-            } else {
-                z
-            };
+            h = if i + 1 < n { activation::relu(&z) } else { z };
         }
         let loss = activation::cross_entropy(&h, labels);
         let mut dy = activation::cross_entropy_grad(&h, labels);
-        for k in (0..tail).rev() {
-            let grads = self.layers[split + k].backward(&inputs[k], &dy);
-            self.layers[split + k].apply(&grads, lr, momentum);
+        for k in (0..n - start).rev() {
+            let grads = self.layers[start + k].backward(&inputs[k], &dy);
+            self.layers[start + k].apply(&grads, lr, momentum);
             if k > 0 {
+                // Gradient through the ReLU that preceded this layer.
                 let mask = activation::relu_grad_mask(&pre[k - 1]);
                 dy = grads.dx.mul(&mask);
             }

@@ -41,7 +41,6 @@ test -s results/BENCH_npe_pipeline.json
 test -s results/BENCH_gemm_kernel.json
 test -s results/BENCH_gemm_fast.json
 test -s results/BENCH_telemetry_overhead.json
-test -s results/BENCH_cluster_fanout.json
 test -s results/BENCH_rpc_concurrency.json
 test -s results/BENCH_placement.json
 test -s results/BENCH_ftdmp_pipeline.json

@@ -2,21 +2,14 @@
 //! threads, no sockets, no clocks. For every small fleet shape,
 //! staleness bound and `can_serve` relation, a DFS walks every reachable
 //! state of the schedule under every interleaving of claim / complete /
-//! fail / peer-death / train events and checks the invariants both
-//! drivers rely on. States are memoized on what determines the
+//! fail / peer-death / train events and checks the invariants the
+//! socket driver relies on. States are memoized on what determines the
 //! schedule's future (task statuses, live peers, trained runs), so each
 //! distinct transition is checked once however many histories reach it.
-//!
-//! The last test is the only one in this binary that touches the
-//! process environment (`NDPIPE_THREADS`); the others are pure.
 
-use dnn::{Mlp, TrainConfig};
+use dnn::TrainConfig;
 use ndpipe::ftdmp::schedule::{Schedule, SliceTask};
-use ndpipe::ftdmp::{ftdmp_fine_tune, ftdmp_fine_tune_reference, FtdmpConfig};
-use ndpipe::{PipeStore, Tuner};
-use ndpipe_data::{ClassUniverse, LabeledDataset};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use ndpipe::ftdmp::FtdmpConfig;
 use std::collections::{BTreeMap, HashSet};
 use tensor::Tensor;
 
@@ -334,9 +327,9 @@ fn every_interleaving_on_up_to_two_peers() {
     assert!(states > 10_000, "explored only {states} states");
 }
 
-/// Three nodes and three peers (one slot each, the in-process worker's
-/// window): every `can_serve` relation at one micro-batch per run, and
-/// the empty, ring and full relations at two.
+/// Three nodes and three peers (one slot each): every `can_serve`
+/// relation at one micro-batch per run, and the empty, ring and full
+/// relations at two.
 #[test]
 fn every_interleaving_on_three_peers() {
     let ring = vec![(0, 1), (1, 2), (2, 0)];
@@ -363,68 +356,4 @@ fn every_interleaving_on_three_peers() {
         });
     }
     assert!(states > 100_000, "explored only {states} states");
-}
-
-/// The in-process driver over the same schedule: bit-identical to the
-/// barrier oracle for `S ∈ {0, 1, 2}` at 1, 2 and 4 worker threads.
-#[test]
-fn in_process_driver_matches_reference_at_every_worker_count() {
-    let mut rng = StdRng::seed_from_u64(79);
-    let u = ClassUniverse::new(16, 8, 5, 0.25, &mut rng);
-    let rows: Vec<Tensor> = (0..150).map(|i| u.sample(i % 5, &mut rng)).collect();
-    let labels: Vec<usize> = (0..150).map(|i| i % 5).collect();
-    let shards = LabeledDataset::new(rows, labels, 5).shards(4);
-    let train = TrainConfig {
-        batch: 16,
-        ..TrainConfig::default()
-    };
-    let tuner0 = Tuner::new(Mlp::new(&[16, 32, 24, 5], 2, &mut rng), train);
-    let stores = || -> Vec<PipeStore> {
-        let fresh = shards.iter().cloned().enumerate();
-        fresh.map(|(i, shard)| PipeStore::new(i, shard)).collect()
-    };
-    let base = FtdmpConfig {
-        n_run: 3,
-        epochs_per_run: 2,
-        micro_batch: 5,
-        staleness: 0,
-        train,
-    };
-    let mut ref_tuner = tuner0.clone();
-    let mut ref_stores = stores();
-    let mut ref_rng = StdRng::seed_from_u64(7_979);
-    let reference = ftdmp_fine_tune_reference(&mut ref_tuner, &mut ref_stores, &base, &mut ref_rng)
-        .expect("reference job");
-
-    let prior = std::env::var("NDPIPE_THREADS").ok();
-    for workers in [1, 2, 4] {
-        std::env::set_var("NDPIPE_THREADS", workers.to_string());
-        for staleness in 0..=2 {
-            let cfg = FtdmpConfig { staleness, ..base };
-            let mut tuner = tuner0.clone();
-            let mut stores = stores();
-            let mut rng = StdRng::seed_from_u64(7_979);
-            let report =
-                ftdmp_fine_tune(&mut tuner, &mut stores, &cfg, &mut rng).expect("pipelined job");
-            let at = format!("workers={workers} S={staleness}");
-            assert_eq!(report.run_losses, reference.run_losses, "losses at {at}");
-            assert_eq!(report.examples, reference.examples, "examples at {at}");
-            assert_eq!(
-                report.feature_bytes, reference.feature_bytes,
-                "bytes at {at}"
-            );
-            assert_eq!(
-                tuner.model().to_bytes(),
-                ref_tuner.model().to_bytes(),
-                "master model at {at}"
-            );
-            if workers == 1 {
-                assert_eq!(report.schedule.steals, 0, "a lone worker owns every store");
-            }
-        }
-    }
-    match prior {
-        Some(v) => std::env::set_var("NDPIPE_THREADS", v),
-        None => std::env::remove_var("NDPIPE_THREADS"),
-    }
 }
