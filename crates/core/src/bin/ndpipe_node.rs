@@ -191,8 +191,9 @@ fn run_tuner(args: &[String]) -> ExitCode {
         .unwrap_or(42);
     // `--runs`: pipelined fine-tuning rounds driven back to back; each
     // round is `--n-run` FT-DMP runs. `--micro-batch 0` sizes
-    // micro-batches automatically; `--staleness 0` reproduces the
-    // run-at-a-time barrier schedule exactly.
+    // micro-batches automatically. Results equal the in-process barrier
+    // at every `--staleness`; `--staleness 0` only keeps extraction from
+    // getting ahead of training.
     let rounds: usize = arg_value(args, "--runs")
         .and_then(|s| s.parse().ok())
         .unwrap_or(2);
