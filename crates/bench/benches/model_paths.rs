@@ -36,7 +36,7 @@ fn bench_tuner_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("tuner");
     group.throughput(Throughput::Elements(128));
     group.bench_function("tune_step_batch128", |b| {
-        b.iter(|| m.tune_step_on_features(std::hint::black_box(&feats), &labels, 0.05, 0.9))
+        b.iter(|| m.tune_step_on_features(std::hint::black_box(feats.clone()), &labels, 0.05, 0.9))
     });
     group.bench_function("full_train_step_batch128", |b| {
         let x = Tensor::randn(&[128, 64], &mut rng);

@@ -228,7 +228,8 @@ pub struct PipeStore {
     /// `ShardInfo` so the Tuner can audit fleet uniformity.
     math: MathPolicy,
     /// Bumped by [`PipeStore::install_model`] whenever the incoming
-    /// weight-freeze prefix differs bitwise from the held one. Layer
+    /// weight-freeze prefix differs bitwise from the held one (and the
+    /// new prefix's [`Mlp::prefix_digest`] is computed there). Layer
     /// version counters alone cannot tell two installed prefixes apart:
     /// every freshly decoded model starts at the same counts.
     prefix_epoch: u64,
@@ -620,7 +621,8 @@ impl PipeStore {
     /// When the incoming weight-freeze prefix equals the held one bit for
     /// bit, only the incoming classifier head is taken: the held prefix
     /// layers stay, packed panels included, and so do the features
-    /// cached under them. Any other prefix starts a new prefix epoch.
+    /// cached under them. Any other prefix starts a new prefix epoch and
+    /// has its digest computed, once, for [`PipeStore::install_head`].
     pub fn install_model(&mut self, model: Mlp) {
         let replaced = match self.model.as_mut() {
             Some(held) => held.adopt_head(model).err(),
@@ -628,9 +630,41 @@ impl PipeStore {
         };
         if let Some(model) = replaced {
             self.prefix_epoch += 1;
+            model.prefix_digest();
             self.model = Some(model);
         }
         self.republish_model();
+    }
+
+    /// Installs a classifier head on the held prefix, which stays with
+    /// its prefix epoch and cached features, and publishes the result.
+    /// The outcome equals [`PipeStore::install_model`] of the model the
+    /// head was cut from, as long as equal digests mean equal prefixes.
+    ///
+    /// # Errors
+    ///
+    /// Refuses, changing nothing, when no model is installed, the held
+    /// prefix's digest is not `prefix_digest`, or the head's input width
+    /// is not the held model's feature width.
+    pub fn install_head(&mut self, prefix_digest: u64, head: Mlp) -> Result<(), String> {
+        let Some(held) = self.model.as_mut() else {
+            return Err("no model installed".to_string());
+        };
+        let held_digest = held.prefix_digest();
+        if held_digest != prefix_digest {
+            return Err(format!(
+                "prefix digest {prefix_digest:#018x} is not the held {held_digest:#018x}"
+            ));
+        }
+        let width = held.feature_dim();
+        if let Err(head) = held.install_head(head) {
+            return Err(format!(
+                "head input width {} is not the feature width {width}",
+                head.input_dim()
+            ));
+        }
+        self.republish_model();
+        Ok(())
     }
 
     /// The local model replica, if one has been distributed.
@@ -1090,6 +1124,41 @@ mod tests {
         // Same computation as calling the model directly.
         let direct = m.features(&s.select(&[0, 1, 2, 3]).features().clone());
         assert_eq!(feats.data(), direct.data());
+    }
+
+    #[test]
+    fn a_head_lands_only_on_its_own_prefix_and_keeps_the_cache() {
+        let mut rng = StdRng::seed_from_u64(48);
+        let held = model(&mut rng);
+        let mut master = Mlp::from_bytes(&held.to_bytes()).expect("round trip");
+        master.widen_classes(4, &mut rng);
+        let head = || Mlp::from_bytes(&master.head_to_bytes()).expect("head blob");
+        let digest = held.prefix_digest();
+        let mut ps = PipeStore::new(0, shard(&mut rng));
+        let refused = |ps: &mut PipeStore, d: u64, head: Mlp| ps.install_head(d, head).is_err();
+        assert!(refused(&mut ps, digest, head()), "no model installed");
+
+        ps.install_model(held.clone());
+        let rows = 0..ps.shard_len();
+        let cfg = EngineConfig::default();
+        let (before, _) = ps.extract_features_batched(rows.clone(), &cfg);
+        assert!(refused(&mut ps, digest ^ 1, head()), "another prefix");
+        let wide = Mlp::new(&[7, 4], 0, &mut rng);
+        assert!(
+            refused(&mut ps, digest, wide),
+            "not as wide as the features"
+        );
+        assert_eq!(ps.model().expect("installed").to_bytes(), held.to_bytes());
+
+        ps.install_head(digest, head()).expect("same prefix");
+        assert_eq!(ps.model().expect("installed").to_bytes(), master.to_bytes());
+        assert_eq!(
+            ps.model_snapshot().expect("published").to_bytes(),
+            master.to_bytes()
+        );
+        let ((after, _), stats) = ps.extract_features_batched(rows, &cfg);
+        assert_eq!(stats.batches, 0, "the prefix epoch and its cache stay");
+        assert_eq!(after.data(), before.0.data());
     }
 
     #[test]

@@ -558,6 +558,7 @@ impl ClusterBuilder {
             });
         }
         Ok(Cluster {
+            acked_prefix: parking_lot::Mutex::new(vec![None; peers.len()]),
             peers,
             policy: self.policy,
             op_attempts: self.op_attempts,
@@ -587,6 +588,10 @@ pub struct Cluster {
     policy: FailurePolicy,
     op_attempts: u32,
     initial_failures: Vec<PeerFailure>,
+    /// Per peer, the [`Mlp::prefix_digest`] of the last model it
+    /// acknowledged through this handle (`None` when unknown):
+    /// [`Cluster::install_model`] ships only the head where it matches.
+    acked_prefix: parking_lot::Mutex<Vec<Option<u64>>>,
 }
 
 impl Cluster {
@@ -724,10 +729,79 @@ impl Cluster {
         self.fanout_on(&self.all(), req)
     }
 
-    /// Installs a model replica on every peer. The model is serialized
-    /// once and every peer's frame borrows the same bytes.
+    /// Installs `model` on every peer: the head alone
+    /// ([`Request::InstallHead`]) where the peer last acknowledged this
+    /// prefix through this handle, the whole model (serialized once, every
+    /// peer's frame borrowing the same bytes) elsewhere and wherever a
+    /// store refuses the head (counted in
+    /// `ndpipe_model_install_fallbacks_total`). Only a refusal is re-sent
+    /// in full; a transport failure stays that peer's failure. Each peer
+    /// that acknowledges is remembered as holding this model's prefix.
     pub fn install_model(&self, model: &Mlp) -> Fanout<()> {
-        self.fanout_all(Request::InstallModel(model.to_bytes()))
+        self.install_on(&self.all(), model)
+    }
+
+    /// [`Cluster::install_model`] on the peers at `indices`.
+    fn install_on(&self, indices: &[usize], model: &Mlp) -> Fanout<()> {
+        let digest = model.prefix_digest();
+        let (heads, mut fulls): (Vec<usize>, Vec<usize>) = {
+            let acked = self.acked_prefix.lock();
+            indices
+                .iter()
+                .partition(|&&i| acked.get(i).copied().flatten() == Some(digest))
+        };
+        let mut fan = Fanout {
+            ok: Vec::new(),
+            failures: Vec::new(),
+            elapsed: Duration::ZERO,
+        };
+        if !heads.is_empty() {
+            let head = Request::InstallHead {
+                prefix_digest: digest,
+                head: model.head_to_bytes(),
+            };
+            fan = self.fanout_on::<()>(&heads, head);
+            let (refused, failed): (Vec<PeerFailure>, Vec<PeerFailure>) = fan
+                .failures
+                .into_iter()
+                .partition(|f| matches!(f.error, RpcError::Remote { .. }));
+            fan.failures = failed;
+            if !refused.is_empty() && telemetry::enabled() {
+                telemetry::global()
+                    .counter(
+                        "ndpipe_model_install_fallbacks_total",
+                        "head-only installs a store refused and the Tuner re-sent in full",
+                    )
+                    .add(refused.len() as u64);
+            }
+            fulls.extend(refused.iter().map(|f| f.index));
+        }
+        if !fulls.is_empty() {
+            let full = self.fanout_on::<()>(&fulls, Request::InstallModel(model.to_bytes()));
+            fan.ok.extend(full.ok);
+            fan.failures.extend(full.failures);
+            fan.ok.sort_by_key(|r| r.index);
+            fan.failures.sort_by_key(|f| f.index);
+            fan.elapsed += full.elapsed;
+        }
+        self.remember_prefix(&fan, digest);
+        fan
+    }
+
+    /// Records `digest` for every peer that acknowledged an install in
+    /// `fan`; a peer that failed one holds an unknown model.
+    fn remember_prefix(&self, fan: &Fanout<()>, digest: u64) {
+        let mut acked = self.acked_prefix.lock();
+        let updates = fan
+            .ok
+            .iter()
+            .map(|r| (r.index, Some(digest)))
+            .chain(fan.failures.iter().map(|f| (f.index, None)));
+        for (index, held) in updates {
+            if let Some(slot) = acked.get_mut(index) {
+                *slot = held;
+            }
+        }
     }
 
     /// Extracts features for pipeline run `run` of `n_run` on every peer
@@ -1049,10 +1123,11 @@ impl Cluster {
         }
         self.admit(&live, &mut failures)?;
 
-        // 1. Distribute the current master model (serialized once).
+        // 1. Distribute the current master model: its head alone to the
+        // peers that hold its prefix, the whole model to the rest.
         let timer = phase_timer("distribute");
         let model_before = tuner.model().clone();
-        let fan = self.fanout_on::<()>(&live, Request::InstallModel(model_before.to_bytes()));
+        let fan = self.install_on(&live, &model_before);
         live = fan.ok.iter().map(|r| r.index).collect();
         failures.extend(fan.failures);
         drop(timer);

@@ -140,10 +140,10 @@ fn greet(hs: &Handshake, store_id: u64) -> Result<Greeting, RpcError> {
 
 /// Handles one request; `None` means the session should end (after the
 /// final Ack). Read-mostly operations take the store's read lock so
-/// parallel workers can overlap; `InstallModel` and `ApplyDelta` take
-/// the write lock for exclusivity. The event loop routes `Infer` to the
-/// batcher instead ([`exec_batch`]); its arm here labels the one row
-/// through the same [`infer_rows`].
+/// parallel workers can overlap; `InstallModel`, `InstallHead` and
+/// `ApplyDelta` take the write lock for exclusivity. The event loop
+/// routes `Infer` to the batcher instead ([`exec_batch`]); its arm here
+/// labels the one row through the same [`infer_rows`].
 fn handle(store: &RwLock<PipeStore>, request: Request) -> Option<Reply> {
     // Sanitizer witness for the store lock each arm acquires; held for
     // the whole dispatch, which over-approximates the guard's extent in
@@ -157,6 +157,16 @@ fn handle(store: &RwLock<PipeStore>, request: Request) -> Option<Reply> {
                 Reply::Ack
             }
             Err(e) => Reply::Error(format!("bad model blob: {e}")),
+        },
+        Request::InstallHead {
+            prefix_digest,
+            head,
+        } => match Mlp::from_bytes(&head) {
+            Ok(head) => match store.write().install_head(prefix_digest, head) {
+                Ok(()) => Reply::Ack,
+                Err(why) => Reply::Error(format!("head refused: {why}")),
+            },
+            Err(e) => Reply::Error(format!("bad head blob: {e}")),
         },
         Request::OfflineInfer => {
             let store = store.read();

@@ -22,7 +22,9 @@ pub const MAX_FRAME: usize = 256 * 1024 * 1024;
 /// v2: `ShardInfo` carries the store's math policy and kernel family.
 /// v3: `ExtractSlice` is the only extraction request (tags 2 and 14,
 /// the whole-run and replica-run extracts, are retired).
-pub const PROTOCOL_VERSION: u32 = 3;
+/// v4: `InstallHead` ships the classifier head alone to a store that
+/// holds the prefix it was trained on.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Feature bit: the peer serves telemetry scrapes (`Metrics`).
 pub const FEATURE_METRICS: u64 = 1 << 0;
@@ -94,6 +96,16 @@ impl PhotoRecord {
 pub enum Request {
     /// Install a full model replica (serialized `Mlp`).
     InstallModel(Vec<u8>),
+    /// Install a classifier head on the held weight-freeze prefix. The
+    /// store takes it only when its prefix has `prefix_digest`
+    /// ([`dnn::Mlp::prefix_digest`]) and the head is as wide as its
+    /// features; any other store answers [`Reply::Error`].
+    InstallHead {
+        /// Digest of the prefix the head was trained on.
+        prefix_digest: u64,
+        /// The head, as [`dnn::Mlp::head_to_bytes`] encodes it.
+        head: Vec<u8>,
+    },
     /// Run offline inference over the local shard.
     OfflineInfer,
     /// Apply a Check-N-Run delta to the local replica.
@@ -155,6 +167,7 @@ impl Request {
     pub fn op_name(&self) -> &'static str {
         match self {
             Request::InstallModel(_) => "install_model",
+            Request::InstallHead { .. } => "install_head",
             Request::OfflineInfer => "offline_infer",
             Request::ApplyDelta(_) => "apply_delta",
             Request::Describe => "describe",
@@ -320,6 +333,7 @@ const TAG_GET_PHOTO: u8 = 12;
 const TAG_LIST_PHOTOS: u8 = 13;
 const TAG_EXTRACT_SLICE: u8 = 15;
 const TAG_DESCRIBE_NODE: u8 = 16;
+const TAG_INSTALL_HEAD: u8 = 17;
 const TAG_HELLO: u8 = 32;
 const TAG_ACCEPT: u8 = 33;
 const TAG_REJECT: u8 = 34;
@@ -351,6 +365,15 @@ impl Request {
     pub(crate) fn encode_body(&self) -> (u8, Cow<'_, [u8]>) {
         let (tag, payload) = match self {
             Request::InstallModel(m) => return (TAG_INSTALL, Cow::Borrowed(m)),
+            Request::InstallHead {
+                prefix_digest,
+                head,
+            } => {
+                let mut p = Vec::with_capacity(8 + head.len());
+                put_u64(&mut p, *prefix_digest);
+                p.extend_from_slice(head);
+                (TAG_INSTALL_HEAD, p)
+            }
             Request::OfflineInfer => (TAG_INFER, Vec::new()),
             Request::ApplyDelta(d) => return (TAG_DELTA, Cow::Borrowed(d)),
             Request::Describe => (TAG_DESCRIBE, Vec::new()),
@@ -393,6 +416,12 @@ impl Request {
     pub(crate) fn decode_body(tag: u8, payload: &[u8]) -> Result<Request, RpcError> {
         match tag {
             TAG_INSTALL => Ok(Request::InstallModel(payload.to_vec())),
+            TAG_INSTALL_HEAD => decode_all(payload, |c| {
+                Ok(Request::InstallHead {
+                    prefix_digest: c.u64()?,
+                    head: c.rest().to_vec(),
+                })
+            }),
             TAG_INFER => Ok(Request::OfflineInfer),
             TAG_DELTA => Ok(Request::ApplyDelta(payload.to_vec())),
             TAG_DESCRIBE => Ok(Request::Describe),
@@ -826,6 +855,14 @@ mod tests {
     #[test]
     fn request_roundtrips() {
         roundtrip_req(Request::InstallModel(vec![1, 2, 3]));
+        roundtrip_req(Request::InstallHead {
+            prefix_digest: u64::MAX - 1,
+            head: vec![4, 5, 6],
+        });
+        roundtrip_req(Request::InstallHead {
+            prefix_digest: 0,
+            head: Vec::new(),
+        });
         // A whole run of the store's own shard is one micro-batch of one.
         roundtrip_req(Request::ExtractSlice {
             node: 0,
@@ -1224,6 +1261,12 @@ mod tests {
                 Just(Request::OfflineInfer),
                 Just(Request::Shutdown),
                 proptest::collection::vec(any::<u8>(), 0..256).prop_map(Request::InstallModel),
+                (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..256)).prop_map(
+                    |(prefix_digest, head)| Request::InstallHead {
+                        prefix_digest,
+                        head
+                    }
+                ),
                 proptest::collection::vec(any::<u8>(), 0..256).prop_map(Request::ApplyDelta),
                 proptest::collection::vec(-1e6f32..1e6, 0..64)
                     .prop_map(|features| Request::Infer { features }),

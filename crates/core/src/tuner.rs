@@ -6,7 +6,7 @@
 
 use crate::checknrun::ModelDelta;
 use dnn::{Mlp, TrainConfig};
-use ndpipe_data::LabeledDataset;
+use rand::seq::SliceRandom;
 use rand::Rng;
 use tensor::Tensor;
 
@@ -52,9 +52,16 @@ impl Tuner {
     /// gathered from PipeStores for `epochs` epochs, reshuffling every
     /// epoch. Returns the mean loss of the final epoch.
     ///
+    /// Each epoch draws the permutation `LabeledDataset::shuffled` would
+    /// (a fresh identity order, shuffled once) and gathers every batch's
+    /// rows straight from `features`: the rng stream, the batch order and
+    /// the bits are a dataset copy's, without the copy.
+    ///
     /// # Panics
     ///
-    /// Panics if `features`/`labels` disagree or `epochs == 0`.
+    /// Panics if `features` is not a matrix with one label per row, a
+    /// label is not below the model's class count, `epochs == 0`, the
+    /// configured batch is 0, or the momentum is outside `[0, 1)`.
     pub fn train_on_features<R: Rng + ?Sized>(
         &mut self,
         features: &Tensor,
@@ -63,21 +70,33 @@ impl Tuner {
         rng: &mut R,
     ) -> f32 {
         assert!(epochs > 0, "need at least one epoch");
+        assert!(self.config.batch > 0, "batch size must be positive");
+        assert_eq!(features.shape().rank(), 2, "features must be a matrix");
         assert_eq!(features.dims()[0], labels.len(), "one label per row");
-        let ds = LabeledDataset::from_matrix(
-            features.clone(),
-            labels.to_vec(),
-            self.model.num_classes(),
-        );
+        let classes = self.model.num_classes();
+        assert!(labels.iter().all(|&l| l < classes), "label out of range");
+        let dim = features.dims()[1];
+        let rows: Vec<&[f32]> = features.data().chunks_exact(dim.max(1)).collect();
+        let mut order: Vec<usize> = Vec::with_capacity(labels.len());
+        let mut y = Vec::with_capacity(self.config.batch);
         let mut last = 0.0f32;
         for _ in 0..epochs {
-            let shuffled = ds.shuffled(rng);
+            order.clear();
+            order.extend(0..labels.len());
+            order.shuffle(rng);
             let mut sum = 0.0f32;
             let mut n = 0;
-            for (x, y) in shuffled.batches(self.config.batch) {
+            for batch in order.chunks(self.config.batch) {
+                let mut x = Vec::with_capacity(batch.len() * dim);
+                y.clear();
+                for &i in batch {
+                    x.extend_from_slice(rows[i]);
+                    y.push(labels[i]);
+                }
+                let x = Tensor::from_vec(x, &[batch.len(), dim]);
                 sum +=
                     self.model
-                        .tune_step_on_features(&x, y, self.config.lr, self.config.momentum);
+                        .tune_step_on_features(x, &y, self.config.lr, self.config.momentum);
                 n += 1;
             }
             last = sum / n.max(1) as f32;
@@ -152,6 +171,50 @@ mod tests {
         let loss = tuner.train_on_features(&feats, &labels, 5, &mut rng);
         assert!(loss.is_finite());
         assert_eq!(tuner.model().num_classes(), 6);
+    }
+
+    /// A Tuner over `setup`'s model and features with `edit` applied to
+    /// the config, labels and epochs, trained once.
+    fn train_with(edit: impl FnOnce(&mut TrainConfig, &mut Vec<usize>, &mut usize)) {
+        let mut rng = StdRng::seed_from_u64(55);
+        let (tuner, feats, mut labels) = setup(&mut rng);
+        let mut cfg = *tuner.config();
+        let mut epochs = 1;
+        edit(&mut cfg, &mut labels, &mut epochs);
+        let mut tuner = Tuner::new(tuner.model().clone(), cfg);
+        tuner.train_on_features(&feats, &labels, epochs, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "momentum must be in")]
+    fn momentum_of_one_is_rejected() {
+        train_with(|cfg, _, _| cfg.momentum = 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "label out of range")]
+    fn a_label_past_the_classes_is_rejected() {
+        train_with(|_, labels, _| labels[7] = 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "one label per row")]
+    fn a_missing_label_is_rejected() {
+        train_with(|_, labels, _| {
+            labels.pop();
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one epoch")]
+    fn zero_epochs_are_rejected() {
+        train_with(|_, _, epochs| *epochs = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch size must be positive")]
+    fn a_zero_batch_is_rejected() {
+        train_with(|cfg, _, _| cfg.batch = 0);
     }
 
     #[test]

@@ -35,26 +35,6 @@ impl LabeledDataset {
         }
     }
 
-    /// Builds a dataset directly from a stacked feature matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features` is not rank 2, lengths mismatch, or a label is
-    /// out of range.
-    pub fn from_matrix(features: Tensor, labels: Vec<usize>, num_classes: usize) -> Self {
-        assert_eq!(features.shape().rank(), 2, "features must be a matrix");
-        assert_eq!(features.dims()[0], labels.len(), "one label per row");
-        assert!(
-            labels.iter().all(|&l| l < num_classes),
-            "label out of range"
-        );
-        LabeledDataset {
-            features,
-            labels,
-            num_classes,
-        }
-    }
-
     /// Number of examples.
     pub fn len(&self) -> usize {
         self.labels.len()

@@ -68,15 +68,15 @@ impl Clone for Linear {
     }
 }
 
-/// Gradients of a [`Linear`] layer for one batch.
+/// Parameter gradients of a [`Linear`] layer for one batch. The input
+/// gradient is [`Linear::input_grad`], computed only where a layer below
+/// trains.
 #[derive(Debug, Clone)]
 pub struct LinearGrads {
     /// `∂L/∂W`, shape `[out, in]`.
     pub dw: Tensor,
     /// `∂L/∂b`, shape `[out]`.
     pub db: Tensor,
-    /// `∂L/∂x`, shape `[n, in]` — propagate to the previous layer.
-    pub dx: Tensor,
 }
 
 impl Linear {
@@ -213,7 +213,7 @@ impl Linear {
     }
 
     /// Backward pass: given the upstream gradient `dy` `[n, out]` and the
-    /// cached input `x` `[n, in]`, computes all three gradients.
+    /// cached input `x` `[n, in]`, computes the parameter gradients.
     ///
     /// # Panics
     ///
@@ -224,23 +224,39 @@ impl Linear {
         LinearGrads {
             dw: Gemm::new(dy, x).transpose_a().run(),
             db: dy.sum_rows(),
-            dx: Gemm::new(dy, &self.w).run(),
         }
     }
 
-    /// SGD-with-momentum update: `v ← μv − lr·g; θ ← θ + v`.
+    /// `∂L/∂x = dy·W`, shape `[n, in]`: the gradient to propagate to the
+    /// previous layer. Take it before [`Linear::apply`] moves `W`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dy` is not `d_out` wide.
+    pub fn input_grad(&self, dy: &Tensor) -> Tensor {
+        assert_eq!(dy.dims()[1], self.d_out(), "grad width mismatch");
+        Gemm::new(dy, &self.w).run()
+    }
+
+    /// SGD-with-momentum update: `v ← μv − lr·g; θ ← θ + v`, in place.
+    /// Each element rounds as `v·μ`, then `+ (−lr)·g`, then `θ + v`.
     ///
     /// # Panics
     ///
     /// Panics if `lr` is not positive or the gradient shapes differ.
     pub fn apply(&mut self, grads: &LinearGrads, lr: f32, momentum: f32) {
         assert!(lr > 0.0, "learning rate must be positive");
-        self.vw = self.vw.scale(momentum);
-        self.vw.axpy(-lr, &grads.dw);
-        self.w = self.w.add(&self.vw);
-        self.vb = self.vb.scale(momentum);
-        self.vb.axpy(-lr, &grads.db);
-        self.b = self.b.add(&self.vb);
+        assert_eq!(grads.dw.dims(), self.w.dims(), "weight grad shape mismatch");
+        assert_eq!(grads.db.dims(), self.b.dims(), "bias grad shape mismatch");
+        let step = |theta: &mut [f32], v: &mut [f32], g: &[f32]| {
+            for ((t, v), &g) in theta.iter_mut().zip(v.iter_mut()).zip(g) {
+                *v *= momentum;
+                *v += -lr * g;
+                *t += *v;
+            }
+        };
+        step(self.w.data_mut(), self.vw.data_mut(), grads.dw.data());
+        step(self.b.data_mut(), self.vb.data_mut(), grads.db.data());
         self.bump_version();
     }
 }
@@ -302,7 +318,7 @@ mod tests {
         let num = (loss(&lp) - loss(&lm)) / (2.0 * eps);
         assert!((num - grads.db.at(&[1])).abs() < 1e-2);
         // dx has the input's shape.
-        assert_eq!(grads.dx.dims(), x.dims());
+        assert_eq!(l.input_grad(&dy).dims(), x.dims());
         let _ = &mut l;
     }
 

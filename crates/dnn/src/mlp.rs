@@ -8,6 +8,7 @@
 
 use crate::linear::Linear;
 use rand::Rng;
+use std::sync::OnceLock;
 use tensor::codec::{self, Reader};
 use tensor::{activation, default_math_policy, MathPolicy, Tensor};
 
@@ -31,6 +32,10 @@ use tensor::{activation, default_math_policy, MathPolicy, Tensor};
 pub struct Mlp {
     layers: Vec<Linear>,
     split: usize,
+    /// [`Mlp::prefix_digest`], computed on first use. Only a training
+    /// step that starts below `split` moves a prefix layer, and it
+    /// resets this; every other mutation touches the head alone.
+    prefix_digest: OnceLock<u64>,
 }
 
 impl Mlp {
@@ -55,7 +60,11 @@ impl Mlp {
             .windows(2)
             .map(|w| Linear::new(w[0], w[1], rng))
             .collect();
-        Mlp { layers, split }
+        Mlp {
+            layers,
+            split,
+            prefix_digest: OnceLock::new(),
+        }
     }
 
     /// Number of layers.
@@ -154,6 +163,60 @@ impl Mlp {
         Ok(())
     }
 
+    /// A 64-bit digest of the weight-freeze prefix: `split`, each prefix
+    /// layer's dims, and the bits of its weights and biases (so `0.0` and
+    /// `-0.0` differ). Two models with equal digests are taken to hold
+    /// the same prefix; a head-only install rests on that assumption.
+    /// Computed once per model and kept until a training step reaches
+    /// the prefix.
+    pub fn prefix_digest(&self) -> u64 {
+        *self.prefix_digest.get_or_init(|| {
+            // A multiply-xorshift over 64-bit words: the multiply carries
+            // a changed bit upwards, the shift carries it back down.
+            let mix = |h: u64, v: u64| {
+                let h = (h ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                h ^ (h >> 29)
+            };
+            let bits = |h: u64, xs: &[f32]| {
+                let mut pairs = xs.chunks_exact(2);
+                let h = pairs.by_ref().fold(h, |h, p| {
+                    mix(
+                        h,
+                        u64::from(p[0].to_bits()) | (u64::from(p[1].to_bits()) << 32),
+                    )
+                });
+                pairs
+                    .remainder()
+                    .iter()
+                    .fold(h, |h, x| mix(h, u64::from(x.to_bits())))
+            };
+            let mut h = mix(0xcbf2_9ce4_8422_2325, self.split as u64);
+            for l in self.feature_layers() {
+                h = mix(h, ((l.d_in() as u64) << 32) | l.d_out() as u64);
+                h = bits(h, l.weights().data());
+                h = bits(h, l.bias().data());
+            }
+            h
+        })
+    }
+
+    /// Replaces the classifier head with every layer of `head` (a model
+    /// as [`Mlp::head_to_bytes`] encodes it). The prefix stays, with its
+    /// version counters, prepared forward weights and digest.
+    ///
+    /// # Errors
+    ///
+    /// Returns `head` untouched when its input width is not this model's
+    /// [`Mlp::feature_dim`].
+    pub fn install_head(&mut self, head: Mlp) -> Result<(), Mlp> {
+        if head.input_dim() != self.feature_dim() {
+            return Err(head);
+        }
+        self.layers.truncate(self.split);
+        self.layers.extend(head.layers);
+        Ok(())
+    }
+
     /// The trainable classifier layers (for convergence checks and
     /// Check-N-Run deltas).
     pub fn classifier_layers(&self) -> &[Linear] {
@@ -229,7 +292,6 @@ impl Mlp {
         momentum: f32,
         freeze_below: usize,
     ) -> f32 {
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
         assert!(
             freeze_below < self.layers.len(),
             "freeze_below leaves no trainable layer"
@@ -245,20 +307,26 @@ impl Mlp {
 
     /// One fine-tuning step from *precomputed features* (the Tuner-side
     /// path of FT-DMP: features arrive from PipeStores, only the
-    /// classifier is updated). Returns the pre-update batch loss.
+    /// classifier is updated). Takes the batch by value: it is the
+    /// classifier's first cached input. Returns the pre-update batch loss.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `momentum ∈ [0, 1)`, or if shapes mismatch.
     pub fn tune_step_on_features(
         &mut self,
-        features: &Tensor,
+        features: Tensor,
         labels: &[usize],
         lr: f32,
         momentum: f32,
     ) -> f32 {
-        self.sgd_step_from(self.split, features.clone(), labels, lr, momentum)
+        self.sgd_step_from(self.split, features, labels, lr, momentum)
     }
 
     /// The one backprop loop: forward from layer `start` with caches,
     /// cross-entropy on the logits, then backward and update every layer
-    /// from the last down to `start`. `h` is layer `start`'s input.
+    /// from the last down to `start`. `h` is layer `start`'s input; the
+    /// input gradient is taken only where a trained layer sits below.
     fn sgd_step_from(
         &mut self,
         start: usize,
@@ -267,26 +335,38 @@ impl Mlp {
         lr: f32,
         momentum: f32,
     ) -> f32 {
+        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
+        if start < self.split {
+            // The frozen prefix moves: its digest is stale.
+            self.prefix_digest = OnceLock::new();
+        }
         let n = self.layers.len();
         // inputs[k] is the input to layer start + k, pre[k] its
-        // pre-activation output.
+        // pre-activation output (the last layer's is the logits).
         let mut inputs = Vec::with_capacity(n - start);
         let mut pre = Vec::with_capacity(n - start);
         for (i, layer) in self.layers.iter().enumerate().skip(start) {
-            inputs.push(h.clone());
             let z = layer.forward(&h);
-            pre.push(z.clone());
-            h = if i + 1 < n { activation::relu(&z) } else { z };
+            if i + 1 < n {
+                let next = activation::relu(&z);
+                inputs.push(std::mem::replace(&mut h, next));
+            } else {
+                inputs.push(std::mem::take(&mut h));
+            }
+            pre.push(z);
         }
-        let loss = activation::cross_entropy(&h, labels);
-        let mut dy = activation::cross_entropy_grad(&h, labels);
+        let logits = pre.last().expect("at least one trained layer");
+        let loss = activation::cross_entropy(logits, labels);
+        let mut dy = activation::cross_entropy_grad(logits, labels);
         for k in (0..n - start).rev() {
-            let grads = self.layers[start + k].backward(&inputs[k], &dy);
-            self.layers[start + k].apply(&grads, lr, momentum);
-            if k > 0 {
+            let layer = &mut self.layers[start + k];
+            let grads = layer.backward(&inputs[k], &dy);
+            let dx = (k > 0).then(|| layer.input_grad(&dy));
+            layer.apply(&grads, lr, momentum);
+            if let Some(dx) = dx {
                 // Gradient through the ReLU that preceded this layer.
                 let mask = activation::relu_grad_mask(&pre[k - 1]);
-                dy = grads.dx.mul(&mask);
+                dy = dx.mul(&mask);
             }
         }
         loss
@@ -325,16 +405,14 @@ impl Mlp {
     /// to a portable little-endian byte format, used for model
     /// distribution over the wire and for checkpoints.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = b"NDPM".to_vec();
-        codec::put_u32(&mut out, self.layers.len() as u32);
-        codec::put_u32(&mut out, self.split as u32);
-        for l in &self.layers {
-            codec::put_u32(&mut out, l.d_in() as u32);
-            codec::put_u32(&mut out, l.d_out() as u32);
-            codec::put_f32s(&mut out, l.weights().data());
-            codec::put_f32s(&mut out, l.bias().data());
-        }
-        out
+        encode(&self.layers, self.split)
+    }
+
+    /// The classifier head alone, in the [`Mlp::to_bytes`] format: the
+    /// layers `split..` as a model whose split is 0. It is what a
+    /// head-only install ships; [`Mlp::install_head`] takes it back.
+    pub fn head_to_bytes(&self) -> Vec<u8> {
+        encode(&self.layers[self.split..], 0)
     }
 
     /// Reconstructs a model from [`Mlp::to_bytes`] output.
@@ -383,8 +461,27 @@ impl Mlp {
         }
         r.finish()
             .map_err(|_| "trailing bytes after model".to_string())?;
-        Ok(Mlp { layers, split })
+        Ok(Mlp {
+            layers,
+            split,
+            prefix_digest: OnceLock::new(),
+        })
     }
+}
+
+/// The portable model blob: magic, layer count, split, then each layer's
+/// dims, weights and bias.
+fn encode(layers: &[Linear], split: usize) -> Vec<u8> {
+    let mut out = b"NDPM".to_vec();
+    codec::put_u32(&mut out, layers.len() as u32);
+    codec::put_u32(&mut out, split as u32);
+    for l in layers {
+        codec::put_u32(&mut out, l.d_in() as u32);
+        codec::put_u32(&mut out, l.d_out() as u32);
+        codec::put_f32s(&mut out, l.weights().data());
+        codec::put_f32s(&mut out, l.bias().data());
+    }
+    out
 }
 
 #[cfg(test)]
@@ -472,7 +569,7 @@ mod tests {
         let labels: Vec<usize> = (0..10).map(|i| i % 3).collect();
         let la = a.train_step(&x, &labels, 0.1, 0.0, a.split());
         let feats = b.features(&x);
-        let lb = b.tune_step_on_features(&feats, &labels, 0.1, 0.0);
+        let lb = b.tune_step_on_features(feats, &labels, 0.1, 0.0);
         assert!((la - lb).abs() < 1e-6, "{la} vs {lb}");
         // Resulting classifier weights agree.
         for (wa, wb) in a.classifier_layers().iter().zip(b.classifier_layers()) {
@@ -515,6 +612,62 @@ mod tests {
             blob,
             "the refused model comes back untouched"
         );
+    }
+
+    #[test]
+    fn prefix_digest_tracks_the_prefix_bits_and_nothing_else() {
+        let mut rng = StdRng::seed_from_u64(15);
+        let m = toy_model(&mut rng);
+        let d = m.prefix_digest();
+        let decoded = Mlp::from_bytes(&m.to_bytes()).expect("round trip");
+        assert_eq!(decoded.prefix_digest(), d, "a decoded copy");
+
+        // The head moves, the widening grows it: the prefix stays.
+        let mut tuned = decoded;
+        let x = Tensor::randn(&[6, 4], &mut rng);
+        let labels = [0usize, 1, 2, 0, 1, 2];
+        tuned.train_step(&x, &labels, 0.1, 0.9, tuned.split());
+        tuned.widen_classes(5, &mut rng);
+        assert_eq!(tuned.prefix_digest(), d, "head-only changes");
+
+        // A training step that reaches the prefix drops the cached digest.
+        tuned.train_step(&x, &[0, 1, 2, 3, 4, 0], 0.1, 0.9, 0);
+        assert_ne!(tuned.prefix_digest(), d, "a trained prefix");
+
+        // One bias flipped from 0.0 to -0.0, and another split.
+        let mut blob = m.to_bytes();
+        let bias0 = 4 + 8 + 8 + 4 * 12 * 4;
+        blob[bias0..bias0 + 4].copy_from_slice(&(-0.0f32).to_le_bytes());
+        let flipped = Mlp::from_bytes(&blob).expect("patched blob");
+        assert_ne!(flipped.prefix_digest(), d, "-0.0 is not 0.0");
+        let mut resplit = m.to_bytes();
+        resplit[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let resplit = Mlp::from_bytes(&resplit).expect("other split");
+        assert_ne!(resplit.prefix_digest(), d, "another split");
+    }
+
+    #[test]
+    fn a_head_install_equals_the_whole_model() {
+        let mut rng = StdRng::seed_from_u64(16);
+        let held = toy_model(&mut rng);
+        let mut master = Mlp::from_bytes(&held.to_bytes()).expect("round trip");
+        let x = Tensor::randn(&[6, 4], &mut rng);
+        master.train_step(&x, &[0, 1, 2, 0, 1, 2], 0.1, 0.9, master.split());
+        master.widen_classes(4, &mut rng);
+
+        let mut store = held.clone();
+        let head = Mlp::from_bytes(&master.head_to_bytes()).expect("head blob");
+        assert_eq!(head.split(), 0);
+        assert_eq!(head.n_layers(), master.classifier_layers().len());
+        store.install_head(head).expect("as wide as the features");
+        assert_eq!(store.to_bytes(), master.to_bytes());
+        assert_eq!(store.prefix_digest(), held.prefix_digest());
+
+        // A head that does not read the features comes back untouched.
+        let narrow = Mlp::new(&[7, 3], 0, &mut rng);
+        let back = store.install_head(narrow.clone()).expect_err("7 ≠ 8");
+        assert_eq!(back.to_bytes(), narrow.to_bytes());
+        assert_eq!(store.to_bytes(), master.to_bytes());
     }
 
     #[test]

@@ -53,13 +53,17 @@ cargo test -q --release --test ftdmp_pipeline -- --ignored
 # Event-loop soak: ≥1000 concurrent sessions, zero lost replies, p99
 # asserted from the server's telemetry histograms.
 cargo test -q --release --test rpc_event_server -- --ignored
-# Runtime invariant sanitizer: re-run the failover, event-server and
-# pipelined FT-DMP suites (soaks included) with the lock-order witness and
-# channel-depth watchdog armed. The FT-DMP suite has two server workers
-# extracting concurrently through each store's feature cache, and its
-# slow-peer soak steals slices. A separate target dir keeps the cfg'd
-# artifacts from thrashing the main cache.
+# Runtime invariant sanitizer: re-run the failover, event-server,
+# pipelined FT-DMP and feature-cache suites (soaks included) with the
+# lock-order witness and channel-depth watchdog armed. The FT-DMP suite
+# has two server workers extracting concurrently through each store's
+# feature cache, and its slow-peer soak steals slices; in the feature-cache
+# suite `InstallHead` takes the store write lock between rounds whose
+# extractions run through that cache. A separate target dir keeps the
+# cfg'd artifacts from thrashing the main cache.
 RUSTFLAGS='--cfg ndpipe_sanitize' CARGO_TARGET_DIR=target/sanitize \
-    cargo test -q --release --test cluster_failover --test rpc_event_server --test ftdmp_pipeline
+    cargo test -q --release --test cluster_failover --test rpc_event_server --test ftdmp_pipeline \
+    --test feature_cache
 RUSTFLAGS='--cfg ndpipe_sanitize' CARGO_TARGET_DIR=target/sanitize \
-    cargo test -q --release --test cluster_failover --test rpc_event_server --test ftdmp_pipeline -- --ignored
+    cargo test -q --release --test cluster_failover --test rpc_event_server --test ftdmp_pipeline \
+    --test feature_cache -- --ignored

@@ -347,6 +347,13 @@ fn golden_encodings() -> Vec<(&'static str, Format, Vec<u8>)> {
     };
     let requests = [
         ("req.install_model", Request::InstallModel(vec![1, 2, 3])),
+        (
+            "req.install_head",
+            Request::InstallHead {
+                prefix_digest: 0x0102_0304_0506_0708,
+                head: vec![1, 2, 3],
+            },
+        ),
         ("req.offline_infer", Request::OfflineInfer),
         ("req.apply_delta", Request::ApplyDelta(vec![9, 8])),
         ("req.describe", Request::Describe),
@@ -459,6 +466,7 @@ fn golden_encodings() -> Vec<(&'static str, Format, Vec<u8>)> {
 /// The exact bytes of every golden encoding, one `name hex` line each.
 const GOLDEN_HEX: &str = "\
 req.install_model 0300000001010203
+req.install_head 0b000000110807060504030201010203
 req.offline_infer 0000000003
 req.apply_delta 02000000040908
 req.describe 0000000005
@@ -507,7 +515,7 @@ fn golden_bytes_pin_every_peer_format() {
         assert_eq!(got, want, "encoding moved");
     }
     assert_eq!(actual, GOLDEN_HEX, "encoding set changed:\n{actual}");
-    assert_eq!(ndpipe::rpc::wire::PROTOCOL_VERSION, 3);
+    assert_eq!(ndpipe::rpc::wire::PROTOCOL_VERSION, 4);
 }
 
 /// What a lying length field says, relative to the `left` bytes that
