@@ -388,17 +388,17 @@ fn measure_pinned(p: &PipelineParams) -> PipelineMeasurements {
         // (Base) and a replica reassembled from quantized deltas
         // (NDPipe), both on a held-out test set from the same universe.
         let test = held_out_test(&universe, p.classes);
-        base_top1 = f64::from(Trainer::evaluate(tuner.model(), &test).top1);
+        base_top1 = Trainer::evaluate(tuner.model(), &test).top1;
         let replica = stores
             .iter()
             .find_map(PipeStore::model)
             .expect("a drained store still holds its model");
-        ndpipe_top1 = f64::from(Trainer::evaluate(replica, &test).top1);
+        ndpipe_top1 = Trainer::evaluate(replica, &test).top1;
     }
 
     // The never-updated model, on the same held-out set.
     let test = held_out_test(&universe, p.classes);
-    let outdated_top1 = f64::from(Trainer::evaluate(&model, &test).top1);
+    let outdated_top1 = Trainer::evaluate(&model, &test).top1;
 
     PipelineMeasurements {
         params: *p,

@@ -28,6 +28,7 @@ use ndpipe_data::{ClassUniverse, DatasetSpec, DriftScenario, LabeledDataset};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
+use telemetry::catalog;
 use tensor::linalg::{selected_kernel, Gemm};
 use tensor::quant::QuantizedMatrix;
 use tensor::{MathPolicy, Tensor};
@@ -385,7 +386,7 @@ pub fn measure_with(p: &BenchParams) -> FastMeasurements {
 
     let m = FastMeasurements {
         params: *p,
-        cpus: ndpipe_data::deflate::configured_threads(),
+        cpus: tensor::configured_threads(),
         det_gflops,
         fast_gflops,
         int8_gflops,
@@ -396,10 +397,7 @@ pub fn measure_with(p: &BenchParams) -> FastMeasurements {
     };
     if telemetry::enabled() {
         telemetry::global()
-            .gauge(
-                "ndpipe_quant_accuracy_delta",
-                "largest top-1 accuracy gap between deterministic f32 and int8 feature extraction",
-            )
+            .gauge(catalog::QUANT_ACCURACY_DELTA)
             .set(m.quant_accuracy_delta());
     }
     m

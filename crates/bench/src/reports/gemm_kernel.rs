@@ -153,7 +153,7 @@ pub fn measure_with(p: &BenchParams) -> GemmMeasurements {
 
     GemmMeasurements {
         params: *p,
-        cpus: ndpipe_data::deflate::configured_threads(),
+        cpus: tensor::configured_threads(),
         points,
     }
 }

@@ -249,7 +249,7 @@ pub fn measure_with(p: &BenchParams) -> NpeMeasurements {
 
     NpeMeasurements {
         params: *p,
-        cpus: deflate::configured_threads(),
+        cpus: tensor::configured_threads(),
         serial_secs,
         serial_ips,
         pipelined,

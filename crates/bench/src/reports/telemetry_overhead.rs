@@ -130,7 +130,7 @@ pub fn measure_with(p: &OverheadParams) -> OverheadMeasurements {
 
     OverheadMeasurements {
         params: *p,
-        cpus: ndpipe_data::deflate::configured_threads(),
+        cpus: tensor::configured_threads(),
         baseline_runs,
         instrumented_runs,
         registry_series,

@@ -10,6 +10,7 @@
 use bytes::Bytes;
 use dnn::Mlp;
 use ndpipe_data::deflate;
+use telemetry::catalog;
 use telemetry::codec::{self, put_f32, put_u32, put_u64, Reader};
 use tensor::Tensor;
 
@@ -118,26 +119,13 @@ impl ModelDelta {
         let payload = Bytes::from(deflate::compress_chunked(&raw, deflate::DEFAULT_CHUNK_SIZE));
         if telemetry::enabled() {
             let g = telemetry::global();
-            g.counter(
-                "ndpipe_checknrun_deltas_total",
-                "Check-N-Run deltas encoded",
-            )
-            .inc();
-            g.counter(
-                "ndpipe_checknrun_delta_bytes_total",
-                "compressed delta payload bytes encoded",
-            )
-            .add(payload.len() as u64);
-            g.counter(
-                "ndpipe_checknrun_full_model_bytes_total",
-                "bytes a full-model distribution would have moved",
-            )
-            .add((new.param_count() * 4) as u64);
-            g.histogram(
-                "ndpipe_checknrun_traffic_reduction",
-                "full-model bytes over delta bytes, per encoded delta",
-            )
-            .observe((new.param_count() * 4) as f64 / payload.len().max(1) as f64);
+            g.counter(catalog::CHECKNRUN_DELTAS_TOTAL).inc();
+            g.counter(catalog::CHECKNRUN_DELTA_BYTES_TOTAL)
+                .add(payload.len() as u64);
+            g.counter(catalog::CHECKNRUN_FULL_MODEL_BYTES_TOTAL)
+                .add((new.param_count() * 4) as u64);
+            g.histogram(catalog::CHECKNRUN_TRAFFIC_REDUCTION)
+                .observe((new.param_count() * 4) as f64 / payload.len().max(1) as f64);
         }
         ModelDelta {
             payload,

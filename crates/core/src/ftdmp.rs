@@ -39,6 +39,7 @@ use crate::tuner::Tuner;
 use dnn::{Mlp, TrainConfig};
 use rand::Rng;
 use schedule::{slice_bounds, SliceTask};
+use telemetry::catalog;
 use tensor::Tensor;
 
 /// Why an FT-DMP job was refused before any work started. The historic
@@ -299,11 +300,7 @@ fn validate(
 }
 
 fn phase_hist(phase: &str) -> telemetry::Histogram {
-    telemetry::global().histogram_with(
-        "ndpipe_ftdmp_phase_seconds",
-        &[("phase", phase)],
-        "wall time of one in-process FT-DMP phase",
-    )
+    telemetry::global().histogram_with(catalog::FTDMP_PHASE_SECONDS, &[("phase", phase)])
 }
 
 /// Which path ran a job: the in-process barrier or the socket driver.
@@ -326,36 +323,18 @@ pub(crate) fn record_job(
     }
     let g = telemetry::global();
     match origin {
-        Origin::Local => g.counter(
-            "ndpipe_ftdmp_rounds_total",
-            "completed in-process FT-DMP fine-tuning rounds",
-        ),
-        Origin::Remote => g.counter(
-            "ndpipe_ftdmp_remote_rounds_total",
-            "completed remote FT-DMP fine-tuning rounds",
-        ),
+        Origin::Local => g.counter(catalog::FTDMP_ROUNDS_TOTAL),
+        Origin::Remote => g.counter(catalog::FTDMP_REMOTE_ROUNDS_TOTAL),
     }
     .add(rounds as u64);
-    g.counter(
-        "ndpipe_ftdmp_feature_bytes_total",
-        "feature bytes shipped from PipeStores to the Tuner",
-    )
-    .add(feature_bytes as u64);
-    g.counter(
-        "ndpipe_ftdmp_steals_total",
-        "FT-DMP micro-batches re-extracted away from their home store",
-    )
-    .add(schedule.steals as u64);
-    g.counter(
-        "ndpipe_ftdmp_stale_steps_total",
-        "FT-DMP micro-batches extracted ahead of the Tuner's training run",
-    )
-    .add(schedule.stale_steps as u64);
-    g.histogram(
-        "ndpipe_ftdmp_bubble_seconds",
-        "seconds the Tuner idled waiting for a run's features",
-    )
-    .observe(schedule.bubble_secs);
+    g.counter(catalog::FTDMP_FEATURE_BYTES_TOTAL)
+        .add(feature_bytes as u64);
+    g.counter(catalog::FTDMP_STEALS_TOTAL)
+        .add(schedule.steals as u64);
+    g.counter(catalog::FTDMP_STALE_STEPS_TOTAL)
+        .add(schedule.stale_steps as u64);
+    g.histogram(catalog::FTDMP_BUBBLE_SECONDS)
+        .observe(schedule.bubble_secs);
 }
 
 /// Runs FT-DMP fine-tuning across in-process `stores` on the
@@ -403,7 +382,7 @@ pub fn ftdmp_fine_tune<R: Rng + ?Sized>(
     // are claimed dynamically from the shared worker pool, and each
     // store's features land in its own index slot, so the gathered
     // order is deterministic at any cap.
-    let max_concurrent = ndpipe_data::deflate::configured_threads().max(1);
+    let max_concurrent = tensor::configured_threads().max(1);
     for run in 0..config.n_run {
         let timer = record.then(|| phase_hist("extract").start_timer());
         let stores_shared: &[PipeStore] = stores;

@@ -41,7 +41,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             batch: 128,
-            decomp_workers: ndpipe_data::deflate::configured_threads().clamp(1, 2),
+            decomp_workers: tensor::configured_threads().clamp(1, 2),
             queue_depth: 256,
         }
     }

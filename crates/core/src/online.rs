@@ -16,6 +16,7 @@ use dnn::Mlp;
 use ndpipe_data::photo::preprocessed_binary;
 use ndpipe_data::Photo;
 use rand::Rng;
+use telemetry::catalog;
 use tensor::{argmax_of, Tensor};
 
 /// One pending upload: the photo, its decoded feature vector, and where
@@ -245,23 +246,14 @@ impl OnlineInferenceServer {
         };
         if telemetry::enabled() {
             let g = telemetry::global();
-            let wait = g.histogram(
-                "ndpipe_online_queue_wait_seconds",
-                "time an upload waited for its dynamic batch to fire",
-            );
+            let wait = g.histogram(catalog::ONLINE_QUEUE_WAIT_SECONDS);
             for p in &pending {
                 wait.observe(p.enqueued.elapsed().as_secs_f64());
             }
-            g.histogram(
-                "ndpipe_online_batch_size",
-                "requests served per dynamically formed batch",
-            )
-            .observe(pending.len() as f64);
-            g.counter(
-                "ndpipe_online_requests_total",
-                "uploads served by online inference",
-            )
-            .add(pending.len() as u64);
+            g.histogram(catalog::ONLINE_BATCH_SIZE)
+                .observe(pending.len() as f64);
+            g.counter(catalog::ONLINE_REQUESTS_TOTAL)
+                .add(pending.len() as u64);
         }
         let rows: Vec<Tensor> = pending.iter().map(|p| p.features.clone()).collect();
         let batch = Tensor::stack_rows(&rows);

@@ -17,12 +17,16 @@ use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use telemetry::catalog;
 use tensor::{default_math_policy, MathPolicy, Tensor};
 
 /// Shard count of the photo map. Sixteen is plenty to decorrelate the
 /// event-driven server's worker pool (a handful of threads) while
 /// keeping the whole-map snapshot cheap.
 const PHOTO_SHARDS: usize = 16;
+
+/// One bucket: `(insertion seq, photo)` pairs under their own lock.
+type Bucket = RwLock<Vec<(u64, StoredPhoto)>>;
 
 /// The photo/sidecar map, sharded `RwLock`-per-bucket so concurrent
 /// readers (offline inference, persistence, scrapes) never contend with
@@ -32,7 +36,7 @@ const PHOTO_SHARDS: usize = 16;
 /// that offline inference relies on to align photos with shard rows.
 #[derive(Debug)]
 struct PhotoShards {
-    buckets: Box<[RwLock<Vec<(u64, StoredPhoto)>>]>,
+    buckets: Box<[Bucket]>,
     next_seq: AtomicU64,
     count: AtomicUsize,
 }
@@ -327,58 +331,28 @@ impl PipeStore {
             ("decode", stats.decode),
             ("fe", stats.fe),
         ] {
-            m.histogram_with(
-                "ndpipe_npe_stage_busy_seconds",
-                &[("stage", name)],
-                "per-run busy seconds of one NPE stage",
-            )
-            .observe(s.busy_secs);
-            m.counter_with(
-                "ndpipe_npe_stage_items_total",
-                &[("stage", name)],
-                "items that passed through one NPE stage",
-            )
-            .add(s.items as u64);
+            m.histogram_with(catalog::NPE_STAGE_BUSY_SECONDS, &[("stage", name)])
+                .observe(s.busy_secs);
+            m.counter_with(catalog::NPE_STAGE_ITEMS_TOTAL, &[("stage", name)])
+                .add(s.items as u64);
         }
         let occ = stats.occupancies();
         for (name, o) in [("load", occ[0]), ("decode", occ[1]), ("fe", occ[2])] {
-            m.gauge_with(
-                "ndpipe_npe_stage_occupancy",
-                &[("stage", name)],
-                "fraction of the last run's wall time the stage was busy",
-            )
-            .set(o);
+            m.gauge_with(catalog::NPE_STAGE_OCCUPANCY, &[("stage", name)])
+                .set(o);
         }
-        m.counter(
-            "ndpipe_npe_batches_total",
-            "batched forward passes issued by the FE stage",
-        )
-        .add(stats.batches as u64);
-        m.histogram(
-            "ndpipe_npe_run_wall_seconds",
-            "end-to-end wall time of one NPE pipeline run",
-        )
-        .observe(stats.wall_secs);
+        m.counter(catalog::NPE_BATCHES_TOTAL)
+            .add(stats.batches as u64);
+        m.histogram(catalog::NPE_RUN_WALL_SECONDS)
+            .observe(stats.wall_secs);
         for (queue, q) in [("in", stats.in_queue), ("mid", stats.mid_queue)] {
-            m.gauge_with(
-                "ndpipe_npe_queue_depth_mean",
-                &[("queue", queue)],
-                "mean sampled depth of an inter-stage queue, last run",
-            )
-            .set(q.mean());
-            m.gauge_with(
-                "ndpipe_npe_queue_depth_max",
-                &[("queue", queue)],
-                "max sampled depth of an inter-stage queue, last run",
-            )
-            .set(q.depth_max as f64);
+            m.gauge_with(catalog::NPE_QUEUE_DEPTH_MEAN, &[("queue", queue)])
+                .set(q.mean());
+            m.gauge_with(catalog::NPE_QUEUE_DEPTH_MAX, &[("queue", queue)])
+                .set(q.depth_max as f64);
         }
-        m.counter_with(
-            "ndpipe_npe_stage_errors_total",
-            &[("stage", "decode")],
-            "items dropped because a pipeline stage failed (decode error or contained panic)",
-        )
-        .add(stats.stage_errors as u64);
+        m.counter_with(catalog::NPE_STAGE_ERRORS_TOTAL, &[("stage", "decode")])
+            .add(stats.stage_errors as u64);
     }
 
     /// Number of training examples in the local shard.
@@ -423,13 +397,14 @@ impl PipeStore {
         let epoch = map.epoch();
         *guard = Some(map);
         drop(guard);
+        #[allow(
+            clippy::drop_non_drop,
+            reason = "the witness is inert unless built with --cfg ndpipe_sanitize; dropping it ends the witnessed region either way"
+        )]
         drop(w);
         if telemetry::enabled() {
             self.metrics
-                .gauge(
-                    "ndpipe_placement_epoch",
-                    "epoch of the placement map this store holds",
-                )
+                .gauge(catalog::PLACEMENT_EPOCH)
                 .set(epoch as f64);
         }
         Ok(epoch)
@@ -470,20 +445,12 @@ impl PipeStore {
     pub fn store_photo(&self, photo: Photo, preprocessed: Vec<u8>) {
         let compressed = deflate::compress_chunked(&preprocessed, deflate::DEFAULT_CHUNK_SIZE);
         if telemetry::enabled() {
+            self.metrics.counter(catalog::STORE_PHOTOS_TOTAL).inc();
             self.metrics
-                .counter("ndpipe_store_photos_total", "photos ingested by this store")
-                .inc();
-            self.metrics
-                .counter(
-                    "ndpipe_store_sidecar_bytes_total",
-                    "compressed preprocessed-binary sidecar bytes written",
-                )
+                .counter(catalog::STORE_SIDECAR_BYTES_TOTAL)
                 .add(compressed.len() as u64);
             self.metrics
-                .counter(
-                    "ndpipe_store_preproc_bytes_total",
-                    "uncompressed preprocessed-binary bytes ingested",
-                )
+                .counter(catalog::STORE_PREPROC_BYTES_TOTAL)
                 .add(preprocessed.len() as u64);
         }
         self.photos.insert(StoredPhoto {
@@ -510,20 +477,12 @@ impl PipeStore {
             return false;
         }
         if telemetry::enabled() {
+            self.metrics.counter(catalog::STORE_PHOTOS_TOTAL).inc();
             self.metrics
-                .counter("ndpipe_store_photos_total", "photos ingested by this store")
-                .inc();
-            self.metrics
-                .counter(
-                    "ndpipe_store_sidecar_bytes_total",
-                    "compressed preprocessed-binary sidecar bytes written",
-                )
+                .counter(catalog::STORE_SIDECAR_BYTES_TOTAL)
                 .add(rec.sidecar.len() as u64);
             self.metrics
-                .counter(
-                    "ndpipe_store_preproc_bytes_total",
-                    "uncompressed preprocessed-binary bytes ingested",
-                )
+                .counter(catalog::STORE_PREPROC_BYTES_TOTAL)
                 .add(rec.preproc_bytes as u64);
         }
         self.photos.insert(StoredPhoto {
@@ -868,17 +827,11 @@ impl PipeStore {
         }
         if hit {
             self.metrics
-                .counter(
-                    "ndpipe_feature_cache_hits_total",
-                    "feature slices served from the store's cache without a forward",
-                )
+                .counter(catalog::FEATURE_CACHE_HITS_TOTAL)
                 .inc();
         } else {
             self.metrics
-                .counter(
-                    "ndpipe_feature_cache_misses_total",
-                    "feature slices extracted through the NPE engine and cached",
-                )
+                .counter(catalog::FEATURE_CACHE_MISSES_TOTAL)
                 .inc();
         }
     }

@@ -371,7 +371,7 @@ mod tests {
     #[test]
     fn placement_spreads_load_across_the_fleet() {
         let m = map(8, 2);
-        let mut primaries = vec![0usize; 8];
+        let mut primaries = [0usize; 8];
         for photo in 0..4096u64 {
             primaries[m.replicas_for(photo)[0] as usize] += 1;
         }

@@ -13,6 +13,7 @@ use dnn::Mlp;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
+use telemetry::catalog;
 use tensor::Tensor;
 
 /// Feature bits this client understands; advertised in the `Hello`.
@@ -161,10 +162,7 @@ impl RemotePipeStore {
                 backoff = (backoff * 2).min(opts.max_backoff);
                 if telemetry::enabled() {
                     telemetry::global()
-                        .counter(
-                            "ndpipe_rpc_client_connect_retries_total",
-                            "connection attempts beyond the first",
-                        )
+                        .counter(catalog::RPC_CLIENT_CONNECT_RETRIES_TOTAL)
                         .inc();
                 }
             }
@@ -337,18 +335,10 @@ impl RemotePipeStore {
         let record = telemetry::enabled();
         let timer = record.then(|| {
             let m = telemetry::global();
-            m.counter_with(
-                "ndpipe_rpc_client_requests_total",
-                &[("op", op)],
-                "RPC calls issued by this process",
-            )
-            .inc();
-            m.histogram_with(
-                "ndpipe_rpc_client_op_seconds",
-                &[("op", op)],
-                "round-trip latency per operation",
-            )
-            .start_timer()
+            m.counter_with(catalog::RPC_CLIENT_REQUESTS_TOTAL, &[("op", op)])
+                .inc();
+            m.histogram_with(catalog::RPC_CLIENT_OP_SECONDS, &[("op", op)])
+                .start_timer()
         });
         let sent = write_request(&mut io.writer, req)?;
         let (reply, received) = read_reply(&mut io.reader)?;
@@ -357,16 +347,10 @@ impl RemotePipeStore {
         if let Some(t) = timer {
             t.observe_and_disarm();
             let m = telemetry::global();
-            m.counter(
-                "ndpipe_rpc_client_bytes_written_total",
-                "request bytes put on the wire",
-            )
-            .add(sent as u64);
-            m.counter(
-                "ndpipe_rpc_client_bytes_read_total",
-                "reply bytes read off the wire",
-            )
-            .add(received as u64);
+            m.counter(catalog::RPC_CLIENT_BYTES_WRITTEN_TOTAL)
+                .add(sent as u64);
+            m.counter(catalog::RPC_CLIENT_BYTES_READ_TOTAL)
+                .add(received as u64);
         }
         match reply {
             Reply::Error(msg) => Err(RpcError::Remote {
@@ -503,17 +487,10 @@ impl RemotePipeStore {
         self.pending += 1;
         if telemetry::enabled() {
             let m = telemetry::global();
-            m.counter_with(
-                "ndpipe_rpc_client_requests_total",
-                &[("op", "infer")],
-                "RPC calls issued by this process",
-            )
-            .inc();
-            m.counter(
-                "ndpipe_rpc_client_bytes_written_total",
-                "request bytes put on the wire",
-            )
-            .add(sent as u64);
+            m.counter_with(catalog::RPC_CLIENT_REQUESTS_TOTAL, &[("op", "infer")])
+                .inc();
+            m.counter(catalog::RPC_CLIENT_BYTES_WRITTEN_TOTAL)
+                .add(sent as u64);
         }
         Ok(())
     }
@@ -574,10 +551,7 @@ impl RemotePipeStore {
         self.recv_bytes += recv_total;
         if telemetry::enabled() {
             telemetry::global()
-                .counter(
-                    "ndpipe_rpc_client_bytes_read_total",
-                    "reply bytes read off the wire",
-                )
+                .counter(catalog::RPC_CLIENT_BYTES_READ_TOTAL)
                 .add(recv_total);
         }
         if matches!(result, Err(RpcError::Io(_)) | Err(RpcError::Protocol(_))) {

@@ -29,6 +29,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use telemetry::catalog;
 use tensor::Tensor;
 
 /// Per-peer job queue depth. A fan-out puts one `Job::Op` on each peer
@@ -357,10 +358,7 @@ fn run_op(
 fn count_reroutes(n: u64) {
     if n > 0 && telemetry::enabled() {
         telemetry::global()
-            .counter(
-                "ndpipe_shard_reroutes_total",
-                "reads and extractions rerouted from a dead replica to a survivor",
-            )
+            .counter(catalog::SHARD_REROUTES_TOTAL)
             .add(n);
     }
 }
@@ -703,19 +701,11 @@ impl Cluster {
         let elapsed = t0.elapsed();
         if telemetry::enabled() {
             let m = telemetry::global();
-            m.histogram_with(
-                "ndpipe_cluster_fanout_seconds",
-                &[("op", op)],
-                "wall time of one cluster-wide fan-out (slowest peer)",
-            )
-            .observe(elapsed.as_secs_f64());
+            m.histogram_with(catalog::CLUSTER_FANOUT_SECONDS, &[("op", op)])
+                .observe(elapsed.as_secs_f64());
             if !failures.is_empty() {
-                m.counter_with(
-                    "ndpipe_cluster_peer_failures_total",
-                    &[("op", op)],
-                    "peer operations that failed after retries",
-                )
-                .add(failures.len() as u64);
+                m.counter_with(catalog::CLUSTER_PEER_FAILURES_TOTAL, &[("op", op)])
+                    .add(failures.len() as u64);
             }
         }
         Fanout {
@@ -768,10 +758,7 @@ impl Cluster {
             fan.failures = failed;
             if !refused.is_empty() && telemetry::enabled() {
                 telemetry::global()
-                    .counter(
-                        "ndpipe_model_install_fallbacks_total",
-                        "head-only installs a store refused and the Tuner re-sent in full",
-                    )
+                    .counter(catalog::MODEL_INSTALL_FALLBACKS_TOTAL)
                     .add(refused.len() as u64);
             }
             fulls.extend(refused.iter().map(|f| f.index));
@@ -989,7 +976,7 @@ impl Cluster {
                 // Every holder refused; the photo keeps its old copies.
                 continue;
             };
-            let copy_bytes = rec.transfer_bytes() as u64;
+            let copy_bytes = rec.transfer_bytes();
             let fan = self.fanout_on::<()>(&missing, Request::PutPhoto(rec));
             let stored = fan.ok.len() as u64;
             report.failures.extend(fan.failures);
@@ -1013,10 +1000,7 @@ impl Cluster {
         }
         if telemetry::enabled() && report.bytes_copied > 0 {
             telemetry::global()
-                .counter(
-                    "ndpipe_rebalance_bytes_total",
-                    "payload bytes copied to backfilling replicas by rebalance sweeps",
-                )
+                .counter(catalog::REBALANCE_BYTES_TOTAL)
                 .add(report.bytes_copied);
         }
         report.elapsed = t0.elapsed();
@@ -1078,11 +1062,7 @@ impl Cluster {
         let phase_timer = |phase: &str| {
             telemetry::enabled().then(|| {
                 telemetry::global()
-                    .histogram_with(
-                        "ndpipe_ftdmp_remote_phase_seconds",
-                        &[("phase", phase)],
-                        "wall time of one remote FT-DMP phase",
-                    )
+                    .histogram_with(catalog::FTDMP_REMOTE_PHASE_SECONDS, &[("phase", phase)])
                     .start_timer()
             })
         };
@@ -1510,8 +1490,7 @@ mod tests {
         let err = Cluster::builder()
             .connect_options(opts)
             .connect(&["127.0.0.1:1", "127.0.0.1:1"])
-            .err()
-            .expect("dead peers must not connect");
+            .expect_err("dead peers must not connect");
         match err {
             ClusterError::Rejected { ok, failures, .. } => {
                 assert_eq!(ok, 0);

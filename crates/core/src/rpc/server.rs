@@ -43,6 +43,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use telemetry::catalog;
 use tensor::{argmax_of, Tensor};
 
 /// Default idle timeout on accepted sessions: a stuck or vanished peer
@@ -474,12 +475,7 @@ struct Shared {
 impl Shared {
     fn session_gauge(&self, delta: f64) {
         if telemetry::enabled() {
-            self.registry
-                .gauge(
-                    "ndpipe_rpc_sessions_active",
-                    "live Tuner sessions on this store's RPC server",
-                )
-                .add(delta);
+            self.registry.gauge(catalog::RPC_SESSIONS_ACTIVE).add(delta);
         }
     }
 }
@@ -1001,10 +997,7 @@ impl EventLoop {
                         if telemetry::enabled() {
                             self.shared
                                 .registry
-                                .counter(
-                                    "ndpipe_rpc_server_bytes_read_total",
-                                    "request bytes read off the wire",
-                                )
+                                .counter(catalog::RPC_SERVER_BYTES_READ_TOTAL)
                                 .add((5 + payload.len()) as u64);
                         }
                         match Request::decode_body(tag, &payload) {
@@ -1045,11 +1038,7 @@ impl EventLoop {
         if telemetry::enabled() {
             self.shared
                 .registry
-                .counter_with(
-                    "ndpipe_rpc_server_requests_total",
-                    &[("op", op)],
-                    "requests handled by this store's RPC server",
-                )
+                .counter_with(catalog::RPC_SERVER_REQUESTS_TOTAL, &[("op", op)])
                 .inc();
         }
         match req {
@@ -1057,11 +1046,7 @@ impl EventLoop {
                 if telemetry::enabled() {
                     self.shared
                         .registry
-                        .histogram_with(
-                            "ndpipe_rpc_server_op_seconds",
-                            &[("op", op)],
-                            "server-side handling latency per operation",
-                        )
+                        .histogram_with(catalog::RPC_SERVER_OP_SECONDS, &[("op", op)])
                         .observe(0.0);
                 }
                 s.read_closed = true;
@@ -1264,10 +1249,7 @@ impl EventLoop {
         if telemetry::enabled() {
             self.shared
                 .registry
-                .gauge(
-                    "ndpipe_rpc_pending_sessions",
-                    "sessions with at least one request in flight",
-                )
+                .gauge(catalog::RPC_PENDING_SESSIONS)
                 .set(self.busy as f64);
         }
     }
@@ -1298,10 +1280,7 @@ fn flush_order(s: &mut Session, registry: &telemetry::Registry) {
     while let Some(f) = s.reorder.remove(&s.next_flush) {
         if telemetry::enabled() {
             registry
-                .counter(
-                    "ndpipe_rpc_server_bytes_written_total",
-                    "reply bytes put on the wire",
-                )
+                .counter(catalog::RPC_SERVER_BYTES_WRITTEN_TOTAL)
                 .add(f.frame.len() as u64);
         }
         s.wbuf.extend_from_slice(&f.frame);
@@ -1384,11 +1363,7 @@ fn worker_main(shared: &Arc<Shared>, work: &Receiver<Work>, done: &Sender<Done>,
                 if telemetry::enabled() {
                     shared
                         .registry
-                        .histogram_with(
-                            "ndpipe_rpc_server_op_seconds",
-                            &[("op", op)],
-                            "server-side handling latency per operation",
-                        )
+                        .histogram_with(catalog::RPC_SERVER_OP_SECONDS, &[("op", op)])
                         .observe(t0.elapsed().as_secs_f64());
                 }
                 if done
@@ -1437,25 +1412,17 @@ fn exec_batch(shared: &Arc<Shared>, items: Vec<BatchItem>) -> Vec<Done> {
     if telemetry::enabled() {
         shared
             .registry
-            .histogram(
-                "ndpipe_rpc_batch_size",
-                "rows per coalesced cross-session inference batch",
-            )
+            .histogram(catalog::RPC_BATCH_SIZE)
             .observe(items.len() as f64);
         if items.len() > 1 {
             shared
                 .registry
-                .counter(
-                    "ndpipe_online_coalesced_total",
-                    "inference rows served by cross-session coalesced batches",
-                )
+                .counter(catalog::ONLINE_COALESCED_TOTAL)
                 .add(items.len() as u64);
         }
-        let h = shared.registry.histogram_with(
-            "ndpipe_rpc_server_op_seconds",
-            &[("op", "infer")],
-            "server-side handling latency per operation",
-        );
+        let h = shared
+            .registry
+            .histogram_with(catalog::RPC_SERVER_OP_SECONDS, &[("op", "infer")]);
         for it in &items {
             h.observe(it.t0.elapsed().as_secs_f64());
         }

@@ -1025,9 +1025,12 @@ mod tests {
     #[test]
     fn metrics_reply_roundtrips_a_real_registry() {
         let reg = telemetry::Registry::new();
-        reg.counter_with("ndpipe_rpc_requests_total", &[("op", "describe")], "reqs")
-            .add(4);
-        reg.histogram("ndpipe_rpc_op_seconds", "latency")
+        reg.counter_with(
+            telemetry::catalog::RPC_SERVER_REQUESTS_TOTAL,
+            &[("op", "describe")],
+        )
+        .add(4);
+        reg.histogram(telemetry::catalog::RPC_SERVER_OP_SECONDS)
             .observe(0.003);
         let snap = reg.snapshot();
         roundtrip_reply(Reply::Metrics(snap.clone()));
@@ -1038,7 +1041,10 @@ mod tests {
         write_reply(&mut buf, &Reply::Metrics(snap)).expect("write");
         match read_reply(&mut buf.as_slice()).expect("read").0 {
             Reply::Metrics(back) => {
-                assert_eq!(back.counter_value("ndpipe_rpc_requests_total"), Some(4));
+                assert_eq!(
+                    back.counter_value("ndpipe_rpc_server_requests_total"),
+                    Some(4)
+                );
             }
             other => panic!("expected metrics reply, got {other:?}"),
         }

@@ -657,18 +657,10 @@ pub const FRAME_MAGIC: [u8; 4] = [0x9F, b'N', b'D', b'F'];
 /// Default chunk granularity for [`compress_chunked`]: one DEFLATE window.
 pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
 
-/// Worker count for parallel codec paths: `NDPIPE_THREADS` if set (min 1),
-/// else the machine's available parallelism.
-pub fn configured_threads() -> usize {
-    match std::env::var("NDPIPE_THREADS") {
-        Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
-}
-
 /// Compresses `data` as independent DEFLATE members of `chunk_size` raw
-/// bytes each, compressed in parallel across [`configured_threads`]
-/// workers and wrapped in a self-describing frame.
+/// bytes each, compressed in parallel across
+/// [`tensor::configured_threads`] workers and wrapped in a
+/// self-describing frame.
 ///
 /// Inputs of at most one chunk are emitted as a plain [`compress`] stream
 /// (byte-compatible with the unframed codec). Because chunks are
@@ -680,7 +672,7 @@ pub fn configured_threads() -> usize {
 /// Panics if `chunk_size` is zero or `data` needs more than `u32::MAX`
 /// chunks.
 pub fn compress_chunked(data: &[u8], chunk_size: usize) -> Vec<u8> {
-    compress_chunked_with(data, chunk_size, configured_threads())
+    compress_chunked_with(data, chunk_size, tensor::configured_threads())
 }
 
 /// [`compress_chunked`] with an explicit worker count.
@@ -706,7 +698,8 @@ pub fn compress_chunked_with(data: &[u8], chunk_size: usize, threads: usize) -> 
         // reuses one Compressor and writes its own output slots, so the
         // emitted bytes are identical regardless of worker count.
         let per = chunks.len().div_ceil(workers);
-        let bands: Vec<std::sync::Mutex<(usize, &mut [Vec<u8>])>> = packed
+        type Band<'a> = std::sync::Mutex<(usize, &'a mut [Vec<u8>])>;
+        let bands: Vec<Band<'_>> = packed
             .chunks_mut(per)
             .enumerate()
             .map(|(i, band)| std::sync::Mutex::new((i * per, band)))
@@ -750,7 +743,7 @@ pub fn compress_chunked_with(data: &[u8], chunk_size: usize, threads: usize) -> 
 /// inconsistent with the payload, or any [`DeflateError`] from inflating a
 /// member stream.
 pub fn decompress_framed(data: &[u8]) -> Result<Vec<u8>, DeflateError> {
-    decompress_framed_with(data, configured_threads())
+    decompress_framed_with(data, tensor::configured_threads())
 }
 
 /// Reads a little-endian u32 from the frame directory without panicking
@@ -809,12 +802,11 @@ pub fn decompress_framed_with(data: &[u8], threads: usize) -> Result<Vec<u8>, De
         results.resize_with(count, || Ok(Vec::new()));
         let per = count.div_ceil(workers);
         let run_result = {
-            let bands: Vec<
-                std::sync::Mutex<(
-                    &mut [Result<Vec<u8>, DeflateError>],
-                    &[(usize, usize, usize)],
-                )>,
-            > = results
+            type Band<'a> = std::sync::Mutex<(
+                &'a mut [Result<Vec<u8>, DeflateError>],
+                &'a [(usize, usize, usize)],
+            )>;
+            let bands: Vec<Band<'_>> = results
                 .chunks_mut(per)
                 .zip(entries.chunks(per))
                 .map(std::sync::Mutex::new)

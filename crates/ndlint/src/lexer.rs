@@ -78,8 +78,6 @@ pub struct Annotation {
     pub rule: String,
     /// Whether a non-empty `reason = "..."` was given.
     pub has_reason: bool,
-    /// The reason text between the quotes (empty when absent).
-    pub reason: String,
 }
 
 /// Overload policies a bounded queue may declare.
@@ -94,8 +92,6 @@ pub struct PolicyNote {
     pub line: u32,
     /// One of [`POLICY_KINDS`].
     pub kind: String,
-    /// The reason text between the quotes.
-    pub reason: String,
 }
 
 /// Lexer output: tokens, ndlint directives, and malformed directives.
@@ -240,16 +236,15 @@ impl Lexer {
             return;
         }
         // reason = "..." with at least one char between the quotes.
-        let reason = args
+        let has_reason = args
             .split_once("reason")
             .map(|(_, r)| r.trim_start())
             .and_then(|r| r.strip_prefix('='))
             .map(str::trim_start)
             .and_then(|r| r.strip_prefix('"'))
-            .and_then(|r| r.find('"').filter(|&end| end > 0).map(|end| &r[..end]))
-            .unwrap_or("")
-            .to_string();
-        if reason.is_empty() {
+            .and_then(|r| r.find('"'))
+            .is_some_and(|end| end > 0);
+        if !has_reason {
             self.out.malformed.push((
                 line,
                 format!("{verb}({head}) needs a non-empty reason = \"...\""),
@@ -261,7 +256,6 @@ impl Lexer {
                 line,
                 rule: head,
                 has_reason: true,
-                reason,
             }),
             _ => {
                 if !POLICY_KINDS.contains(&head.as_str()) {
@@ -274,11 +268,7 @@ impl Lexer {
                     ));
                     return;
                 }
-                self.out.policies.push(PolicyNote {
-                    line,
-                    kind: head,
-                    reason,
-                });
+                self.out.policies.push(PolicyNote { line, kind: head });
             }
         }
     }
@@ -577,15 +567,8 @@ mod tests {
         ));
         assert_eq!(l.policies.len(), 1);
         assert_eq!(l.policies[0].kind, "block");
-        assert_eq!(l.policies[0].reason, "cap is backpressure");
         assert_eq!(l.policies[0].line, 1);
         assert_eq!(l.malformed.len(), 2);
-    }
-
-    #[test]
-    fn allow_reason_text_is_captured() {
-        let l = lex("// ndlint: allow(relaxed, reason = \"pure counter\")\n");
-        assert_eq!(l.annotations[0].reason, "pure counter");
     }
 
     #[test]

@@ -1,38 +1,37 @@
 //! ndlint — workspace-wide concurrency & protocol lint pass for the
-//! NDPipe reproduction.
+//! NDPipe reproduction: the invariants neither the type system nor
+//! clippy can check. Metric names live in `telemetry::catalog` (checked
+//! by its tests) and unbounded channel constructors are a clippy
+//! `disallowed-methods` error (`clippy.toml`).
 //!
-//! Six rule families, tuned to the invariants this codebase depends on:
+//! Four token-level rule families:
 //!
-//! 1. `lock_order`   — inter-type lock acquisition graph must be acyclic.
-//! 2. `relaxed`      — every `Ordering::Relaxed` outside tests must carry
-//!                     `// ndlint: allow(relaxed, reason = "...")`.
-//! 3. `panic`        — no `unwrap`/`expect`/`panic!`-family/slice-index in
-//!                     designated no-panic zones outside `#[cfg(test)]`.
-//! 4. `wire`         — every RPC enum variant must appear in encode,
-//!                     decode, and server dispatch.
-//! 5. `metric`       — registered metric names are well-formed, kind-
-//!                     consistent, and match DESIGN.md's canonical table.
-//! 6. `bounded`      — channel construction inside the RPC and NPE trees
-//!                     must name a capacity (backpressure, not growth).
+//! 1. `lock_order` — inter-type lock acquisition graph must be acyclic.
+//! 2. `relaxed` — every `Ordering::Relaxed` outside tests must carry
+//!    `// ndlint: allow(relaxed, reason = "...")`.
+//! 3. `panic` — no `unwrap`/`expect`/`panic!`-family/index expression in
+//!    designated no-panic zones outside `#[cfg(test)]`.
+//! 4. `wire` — every RPC enum variant must appear in encode, decode, and
+//!    server dispatch.
 //!
-//! v2 adds an interprocedural layer — a workspace-wide call graph
+//! An interprocedural layer — a workspace-wide call graph
 //! ([`callgraph`]) with per-function blocking/lock summaries
-//! ([`summary`]) — and three rule families on top of it:
+//! ([`summary`]) — carries `lock_order` across calls and three more
+//! families:
 //!
-//! 7. `blocking`       — no (transitive) blocking op while a `Mutex`/
-//!                       `RwLock` guard is held.
-//! 8. `event_zone`     — hard zones (the RPC event thread) from which any
-//!                       transitively reachable blocking op is a finding.
-//! 9. `channel_policy` — every bounded queue declares its overload policy
-//!                       (`// ndlint: policy(drop|block|reject, ...)`)
-//!                       and send sites match it.
+//! 5. `blocking` — no (transitive) blocking op while a `Mutex`/`RwLock`
+//!    guard is held.
+//! 6. `event_zone` — hard zones (the RPC event thread) from which any
+//!    transitively reachable blocking op is a finding.
+//! 7. `channel_policy` — every bounded queue declares its overload policy
+//!    (`// ndlint: policy(drop|block|reject, ...)`) and send sites match
+//!    it.
 //!
 //! Plus directive hygiene: malformed or unknown `// ndlint:` comments are
 //! themselves findings, so a typo'd suppression can't silently disable a
 //! rule.
 
 pub mod callgraph;
-pub mod json;
 pub mod lexer;
 pub mod rules;
 pub mod scan;
@@ -47,32 +46,11 @@ pub const KNOWN_RULES: &[&str] = &[
     "relaxed",
     "panic",
     "lock_order",
-    "metric",
     "wire",
-    "bounded",
     "blocking",
     "event_zone",
     "channel_policy",
 ];
-
-/// Stable machine-readable id for a rule family. Ids are append-only:
-/// once published in a baseline they never change meaning.
-pub fn rule_id(rule: &str) -> &'static str {
-    match rule {
-        "directive" => "NDL000",
-        "lock_order" => "NDL001",
-        "relaxed" => "NDL002",
-        "panic" => "NDL003",
-        "wire" => "NDL004",
-        "metric" => "NDL005",
-        "bounded" => "NDL006",
-        "blocking" => "NDL007",
-        "event_zone" => "NDL008",
-        "channel_policy" => "NDL009",
-        "io" => "NDL098",
-        _ => "NDL099",
-    }
-}
 
 /// One diagnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,10 +114,6 @@ pub struct WireCheck {
     pub sites: Vec<WireSite>,
 }
 
-/// A canonical metric-name table entry: `(name, kind)` where kind is
-/// `counter` | `gauge` | `histogram`.
-pub type MetricTable = Vec<(String, String)>;
-
 /// A hard no-blocking zone: the named entry fn and everything reachable
 /// from it must be free of blocking primitives (the `event_zone` rule).
 #[derive(Debug, Clone)]
@@ -157,12 +131,6 @@ pub struct EventZone {
 pub struct Config {
     pub zones: Vec<Zone>,
     pub wire_checks: Vec<WireCheck>,
-    /// Canonical metric table; `None` disables the DESIGN.md cross-check
-    /// (name well-formedness and kind consistency still run).
-    pub metric_table: Option<MetricTable>,
-    /// Path substrings whose files must construct only bounded channels
-    /// (the `bounded` rule); empty disables the rule.
-    pub bounded_paths: Vec<String>,
     /// No-blocking hard zones (the `event_zone` rule).
     pub event_zones: Vec<EventZone>,
     /// Path substrings whose bounded channels must declare an overload
@@ -335,11 +303,6 @@ impl Config {
                     ],
                 },
             ],
-            metric_table: None, // filled from DESIGN.md by run_workspace
-            // Backpressure zones: the event-driven RPC front door and the
-            // NPE pipeline move unbounded request volume through fixed
-            // worker pools, so every inter-stage queue must be bounded.
-            bounded_paths: vec!["core/src/rpc/".into(), "core/src/npe/".into()],
             // The poll(2) event thread is the only thread driving every
             // connection; anything it transitively calls must not block.
             event_zones: vec![EventZone {
@@ -355,26 +318,11 @@ impl Config {
     }
 }
 
-/// One suppression directive in force — recorded for provenance so the
-/// JSON report shows *what* was waived, *where*, and *why*.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Suppression {
-    /// `allow` or `policy`.
-    pub form: &'static str,
-    /// Rule name (`allow`) or policy kind (`policy`).
-    pub target: String,
-    pub file: String,
-    pub line: u32,
-    pub reason: String,
-}
-
 /// Result of a full pass.
 #[derive(Debug, Default)]
 pub struct Report {
     pub findings: Vec<Finding>,
     pub files_scanned: usize,
-    /// Every well-formed directive in the scanned files (provenance).
-    pub suppressions: Vec<Suppression>,
     /// Call-graph size: `(nodes, edges)`.
     pub graph_stats: (usize, usize),
 }
@@ -388,12 +336,11 @@ impl Report {
     pub fn summary(&self) -> String {
         format!(
             "ndlint: {} finding(s) across {} file(s) scanned \
-             ({} fns / {} call edges, {} suppression(s))",
+             ({} fns / {} call edges)",
             self.findings.len(),
             self.files_scanned,
             self.graph_stats.0,
             self.graph_stats.1,
-            self.suppressions.len(),
         )
     }
 }
@@ -404,9 +351,7 @@ pub fn run(files: &[SourceFile], cfg: &Config) -> Report {
     for sf in files {
         rules::directives::check(sf, &mut findings);
         rules::relaxed::check(sf, &mut findings);
-        rules::bounded::check(sf, cfg, &mut findings);
         rules::panic_surface::check(sf, cfg, &mut findings);
-        rules::metric_names::collect(sf, &mut findings);
     }
     let graph = callgraph::build(files);
     let sums = summary::summarize(files, &graph);
@@ -414,38 +359,12 @@ pub fn run(files: &[SourceFile], cfg: &Config) -> Report {
     rules::blocking_lock::check(files, &graph, &sums, cfg, &mut findings);
     rules::channel_policy::check(files, cfg, &mut findings);
     rules::wire_dispatch::check(files, cfg, &mut findings);
-    rules::metric_names::check(files, cfg, &mut findings);
     findings
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     findings.dedup();
-    let mut suppressions = Vec::new();
-    for sf in files {
-        for a in &sf.lexed.annotations {
-            if a.has_reason {
-                suppressions.push(Suppression {
-                    form: "allow",
-                    target: a.rule.clone(),
-                    file: sf.rel.clone(),
-                    line: a.line,
-                    reason: a.reason.clone(),
-                });
-            }
-        }
-        for p in &sf.lexed.policies {
-            suppressions.push(Suppression {
-                form: "policy",
-                target: p.kind.clone(),
-                file: sf.rel.clone(),
-                line: p.line,
-                reason: p.reason.clone(),
-            });
-        }
-    }
-    suppressions.sort_by(|a, b| (&a.file, a.line, a.form).cmp(&(&b.file, b.line, b.form)));
     Report {
         findings,
         files_scanned: files.len(),
-        suppressions,
         graph_stats: (graph.nodes.len(), graph.edge_count()),
     }
 }
@@ -510,107 +429,14 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Extracts the canonical metric table from DESIGN.md: rows of the
-/// markdown table under the `### Canonical metric names` heading, shaped
-/// `| \`name\` | kind | ... |`.
-pub fn parse_design_metric_table(design: &str) -> Option<MetricTable> {
-    let mut in_section = false;
-    let mut table = Vec::new();
-    for line in design.lines() {
-        let trimmed = line.trim();
-        if trimmed.starts_with("### ") {
-            in_section = trimmed == "### Canonical metric names";
-            continue;
-        }
-        if trimmed.starts_with("## ") || trimmed.starts_with("# ") {
-            in_section = false;
-            continue;
-        }
-        if !in_section || !trimmed.starts_with('|') {
-            continue;
-        }
-        let cells: Vec<&str> = trimmed
-            .trim_matches('|')
-            .split('|')
-            .map(str::trim)
-            .collect();
-        if cells.len() < 2 {
-            continue;
-        }
-        let name = cells[0].trim_matches('`');
-        let kind = cells[1].to_ascii_lowercase();
-        if !name.starts_with("ndpipe_") {
-            continue; // header / separator rows
-        }
-        table.push((name.to_string(), kind));
-    }
-    if in_section || !table.is_empty() {
-        Some(table)
-    } else {
-        None
-    }
-}
-
-/// Full workspace pass rooted at `root` (the repo checkout). Reads
-/// DESIGN.md for the metric table; a missing table is itself a finding.
+/// Full workspace pass rooted at `root` (the repo checkout).
 pub fn run_workspace(root: &Path) -> Report {
-    let mut cfg = Config::workspace();
-    let design_path = root.join("DESIGN.md");
-    let mut pre_findings = Vec::new();
-    match std::fs::read_to_string(&design_path) {
-        Ok(text) => match parse_design_metric_table(&text) {
-            Some(table) => cfg.metric_table = Some(table),
-            None => pre_findings.push(Finding {
-                rule: "metric",
-                file: "DESIGN.md".into(),
-                line: 0,
-                col: 0,
-                message: "missing `### Canonical metric names` table".into(),
-            }),
-        },
-        Err(e) => pre_findings.push(Finding {
-            rule: "metric",
-            file: "DESIGN.md".into(),
-            line: 0,
-            col: 0,
-            message: format!("unreadable: {e}"),
-        }),
-    }
     let paths = workspace_sources(root);
     let (files, io_errs) = parse_files(root, &paths);
-    let mut report = run(&files, &cfg);
-    report.findings.extend(pre_findings);
+    let mut report = run(&files, &Config::workspace());
     report.findings.extend(io_errs);
     report
         .findings
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn design_table_parser_extracts_backticked_names() {
-        let md = "\
-# DESIGN\n\n### Canonical metric names\n\n\
-| name | kind | meaning |\n|---|---|---|\n\
-| `ndpipe_x_total` | counter | things |\n\
-| `ndpipe_y` | gauge | level |\n\n## Next section\n\
-| `ndpipe_not_in_table` | counter | outside the section |\n";
-        let table = parse_design_metric_table(md).unwrap();
-        assert_eq!(
-            table,
-            vec![
-                ("ndpipe_x_total".to_string(), "counter".to_string()),
-                ("ndpipe_y".to_string(), "gauge".to_string()),
-            ]
-        );
-    }
-
-    #[test]
-    fn design_table_parser_rejects_missing_section() {
-        assert!(parse_design_metric_table("# DESIGN\nno table here\n").is_none());
-    }
 }

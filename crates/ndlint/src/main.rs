@@ -1,169 +1,52 @@
-//! ndlint CLI: `cargo run -p ndlint [--release] -- [flags] [workspace-root]`.
+//! ndlint CLI: `cargo run -p ndlint [--release] -- [workspace-root]`.
 //!
-//! Flags:
-//! - `--json <path|->`      write the JSON report to a file (or stdout)
-//! - `--baseline <path>`    diff findings against a checked-in baseline:
-//!                          only *new* findings fail; stale baseline
-//!                          entries are reported so the file shrinks
-//! - `--write-baseline <p>` write the current findings as the baseline
-//! - `--bench-out <path>`   write `{"p50_ms": ..}`-style wall-time JSON
-//!                          for the whole-workspace analysis
-//!
-//! Exits 0 when the workspace is clean (or all findings are baselined),
-//! 1 when any (new) finding fires, 2 on usage errors.
+//! Prints every finding and a one-line summary. Exits 0 when the
+//! workspace is clean, 1 when any finding fires, 2 on usage errors.
 
-use ndlint::json;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
-
-struct Opts {
-    root: PathBuf,
-    json_out: Option<String>,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-    bench_out: Option<PathBuf>,
-}
 
 fn usage() {
     println!(
-        "usage: ndlint [--json <path|->] [--baseline <path>] \
-         [--write-baseline <path>] [--bench-out <path>] [workspace-root]\n\n\
+        "usage: ndlint [workspace-root]\n\n\
          Lints crates/*/src/**/*.rs for lock-order cycles (intra-fn and\n\
          interprocedural), blocking ops under held guards, blocking ops\n\
          reachable from the RPC event thread, undeclared bounded-queue\n\
          overload policies, unannotated Ordering::Relaxed, panics in\n\
-         no-panic zones, unplumbed RPC enum variants, and metric names\n\
-         missing from DESIGN.md."
+         no-panic zones, and unplumbed RPC enum variants."
     );
 }
 
-fn parse_args() -> Result<Option<Opts>, String> {
+fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut json_out = None;
-    let mut baseline = None;
-    let mut write_baseline = None;
-    let mut bench_out = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .ok_or_else(|| format!("`{flag}` needs a value"))
-        };
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "-h" | "--help" => return Ok(None),
-            "--json" => json_out = Some(value("--json")?),
-            "--baseline" => baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--write-baseline" => {
-                write_baseline = Some(PathBuf::from(value("--write-baseline")?))
+            "-h" | "--help" => {
+                usage();
+                return ExitCode::SUCCESS;
             }
-            "--bench-out" => bench_out = Some(PathBuf::from(value("--bench-out")?)),
-            other if root.is_none() && !other.starts_with('-') => {
-                root = Some(PathBuf::from(other))
+            other if root.is_none() && !other.starts_with('-') => root = Some(PathBuf::from(other)),
+            other => {
+                eprintln!("ndlint: unexpected argument `{other}`");
+                return ExitCode::from(2);
             }
-            other => return Err(format!("unexpected argument `{other}`")),
         }
     }
-    Ok(Some(Opts {
-        root: root.unwrap_or_else(|| PathBuf::from(".")),
-        json_out,
-        baseline,
-        write_baseline,
-        bench_out,
-    }))
-}
-
-fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(Some(o)) => o,
-        Ok(None) => {
-            usage();
-            return ExitCode::SUCCESS;
-        }
-        Err(e) => {
-            eprintln!("ndlint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if !opts.root.join("crates").is_dir() {
+    let root = root.unwrap_or_else(|| PathBuf::from("."));
+    if !root.join("crates").is_dir() {
         eprintln!(
             "ndlint: `{}` does not look like the workspace root (no crates/ dir)",
-            opts.root.display()
+            root.display()
         );
         return ExitCode::from(2);
     }
 
-    let start = Instant::now();
-    let report = ndlint::run_workspace(&opts.root);
-    let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    if let Some(path) = &opts.bench_out {
-        let body = format!(
-            "{{\"bench\": \"ndlint_workspace\", \"wall_ms\": {:.1}, \
-             \"files\": {}, \"functions\": {}, \"call_edges\": {}, \
-             \"budget_ms\": 5000}}\n",
-            elapsed_ms, report.files_scanned, report.graph_stats.0, report.graph_stats.1
-        );
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("ndlint: cannot write `{}`: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(path) = &opts.write_baseline {
-        let body = json::render_baseline(&report.findings);
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("ndlint: cannot write `{}`: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "ndlint: wrote baseline with {} entr(ies) to {}",
-            report.findings.len(),
-            path.display()
-        );
-    }
-    if let Some(path) = &opts.json_out {
-        let body = json::render_report(&report);
-        if path == "-" {
-            print!("{body}");
-        } else if let Err(e) = std::fs::write(path, body) {
-            eprintln!("ndlint: cannot write `{path}`: {e}");
-            return ExitCode::from(2);
-        }
-    }
-
-    let failing: Vec<&ndlint::Finding> = match &opts.baseline {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("ndlint: cannot read baseline `{}`: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let keys = json::parse_baseline(&text);
-            for stale in json::stale_baseline(&report, &keys) {
-                println!(
-                    "note: baseline entry no longer fires (remove it): [{}] {}: {}",
-                    stale.0, stale.1, stale.2
-                );
-            }
-            json::new_findings(&report, &keys)
-        }
-        None => report.findings.iter().collect(),
-    };
-    for f in &failing {
+    let report = ndlint::run_workspace(&root);
+    for f in &report.findings {
         println!("{f}");
     }
-    println!(
-        "{} ({:.0} ms{})",
-        report.summary(),
-        elapsed_ms,
-        match &opts.baseline {
-            Some(_) => format!(", {} new vs baseline", failing.len()),
-            None => String::new(),
-        }
-    );
-    if failing.is_empty() {
+    println!("{}", report.summary());
+    if report.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -1,7 +1,7 @@
 //! Channel-discipline rule: every bounded channel constructed inside the
-//! policy paths (the RPC and NPE trees — the same zones the `bounded`
-//! rule patrols) must declare what happens when it fills, and its send
-//! sites must match the declaration:
+//! policy paths (the RPC and NPE trees) must declare what happens when it
+//! fills, and its send sites must match the declaration (unbounded
+//! constructors are a clippy `disallowed-methods` error everywhere):
 //!
 //! ```text
 //! // ndlint: policy(block, reason = "producer backpressure is the point")
@@ -18,7 +18,7 @@
 //! does not precede a bounded-channel construction is itself a finding,
 //! so a stale note can't silently vouch for a channel that moved.
 
-use crate::rules::bounded::is_call;
+use crate::lexer::Token;
 use crate::scan::SourceFile;
 use crate::{Config, Finding};
 use std::collections::BTreeMap;
@@ -171,6 +171,31 @@ fn sender_binding(sf: &SourceFile, i: usize) -> Option<String> {
         return None;
     }
     toks.get(j + 2).and_then(|t| t.ident()).map(str::to_string)
+}
+
+/// Whether the tokens at `j` begin a call: `(` directly, or a turbofish
+/// `::<...>` followed by `(`.
+fn is_call(toks: &[Token], mut j: usize) -> bool {
+    if toks.get(j).is_some_and(|t| t.is_punct('(')) {
+        return true;
+    }
+    let turbofish = toks.get(j).is_some_and(|t| t.is_punct(':'))
+        && toks.get(j + 1).is_some_and(|t| t.is_punct(':'))
+        && toks.get(j + 2).is_some_and(|t| t.is_punct('<'));
+    if !turbofish {
+        return false;
+    }
+    j += 3;
+    let mut depth = 1i32;
+    while j < toks.len() && depth > 0 {
+        if toks[j].is_punct('<') {
+            depth += 1;
+        } else if toks[j].is_punct('>') {
+            depth -= 1;
+        }
+        j += 1;
+    }
+    toks.get(j).is_some_and(|t| t.is_punct('('))
 }
 
 #[cfg(test)]

@@ -1,11 +1,9 @@
-//! The nine rule families plus directive hygiene.
+//! The seven rule families plus directive hygiene.
 
 pub mod blocking_lock;
-pub mod bounded;
 pub mod channel_policy;
 pub mod directives;
 pub mod lock_order;
-pub mod metric_names;
 pub mod panic_surface;
 pub mod relaxed;
 pub mod wire_dispatch;

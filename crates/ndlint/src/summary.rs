@@ -26,6 +26,7 @@
 
 use crate::callgraph::CallGraph;
 use crate::scan::{SourceFile, KEYWORDS};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Kinds of blocking primitives the analysis models.
@@ -174,28 +175,22 @@ pub fn summarize(files: &[SourceFile], graph: &CallGraph) -> Vec<FnSummary> {
                 };
                 let caller = &mut out[id];
                 for k in callee_blocking {
-                    if !caller.blocking.contains_key(&k) {
-                        caller.blocking.insert(
-                            k,
-                            Via::Call {
-                                callee: site.callee,
-                                line: site.line,
-                                col: site.col,
-                            },
-                        );
+                    if let Entry::Vacant(slot) = caller.blocking.entry(k) {
+                        slot.insert(Via::Call {
+                            callee: site.callee,
+                            line: site.line,
+                            col: site.col,
+                        });
                         changed = true;
                     }
                 }
                 for c in callee_classes {
-                    if !caller.lock_classes.contains_key(&c) {
-                        caller.lock_classes.insert(
-                            c,
-                            Via::Call {
-                                callee: site.callee,
-                                line: site.line,
-                                col: site.col,
-                            },
-                        );
+                    if let Entry::Vacant(slot) = caller.lock_classes.entry(c) {
+                        slot.insert(Via::Call {
+                            callee: site.callee,
+                            line: site.line,
+                            col: site.col,
+                        });
                         changed = true;
                     }
                 }
@@ -282,7 +277,7 @@ fn primitives(sf: &SourceFile, open: usize, close: usize) -> Vec<Primitive> {
     let toks = sf.tokens();
     let hi = close.min(toks.len().saturating_sub(1));
     let mut out = Vec::new();
-    for i in (open + 1)..hi {
+    for (i, tok) in toks.iter().enumerate().take(hi).skip(open + 1) {
         if sf.in_test(i) {
             continue;
         }
@@ -290,9 +285,9 @@ fn primitives(sf: &SourceFile, open: usize, close: usize) -> Vec<Primitive> {
             out.push(Primitive {
                 kind,
                 tok: i,
-                line: toks[i].line,
-                col: toks[i].col,
-                what: toks[i].ident().unwrap_or("?").to_string(),
+                line: tok.line,
+                col: tok.col,
+                what: tok.ident().unwrap_or("?").to_string(),
             });
         }
     }

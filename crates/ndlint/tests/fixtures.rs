@@ -32,7 +32,7 @@ fn marker_line(src: &str, mark: &str) -> u32 {
     hits[0]
 }
 
-fn lines_of<'a>(findings: &'a [Finding], rule: &str) -> Vec<u32> {
+fn lines_of(findings: &[Finding], rule: &str) -> Vec<u32> {
     findings
         .iter()
         .filter(|f| f.rule == rule)
@@ -46,13 +46,6 @@ fn panic_zone(file: &str) -> Config {
             file_suffix: file.to_string(),
             filter: FnFilter::All,
         }],
-        ..Config::default()
-    }
-}
-
-fn bounded_zone(file: &str) -> Config {
-    Config {
-        bounded_paths: vec![file.to_string()],
         ..Config::default()
     }
 }
@@ -128,38 +121,6 @@ fn panic_ok_is_clean_inside_the_zone() {
 }
 
 #[test]
-fn bounded_bad_fires_on_each_unbounded_constructor() {
-    let (sf, src) = fixture("bounded_bad.rs");
-    let report = run(&[sf], &bounded_zone("bounded_bad.rs"));
-    let mut lines = lines_of(&report.findings, "bounded");
-    lines.sort_unstable();
-    assert_eq!(
-        lines,
-        vec![
-            marker_line(&src, "MARK: bounded-mpsc"),
-            marker_line(&src, "MARK: bounded-unbounded"),
-        ],
-        "findings: {:?}",
-        report.findings
-    );
-}
-
-#[test]
-fn bounded_bad_is_clean_outside_any_zone() {
-    // The rule is path-gated: the same file with no zone configured is fine.
-    let (sf, _) = fixture("bounded_bad.rs");
-    let report = run(&[sf], &Config::default());
-    assert!(report.is_clean(), "findings: {:?}", report.findings);
-}
-
-#[test]
-fn bounded_ok_is_clean_inside_the_zone() {
-    let (sf, _) = fixture("bounded_ok.rs");
-    let report = run(&[sf], &bounded_zone("bounded_ok.rs"));
-    assert!(report.is_clean(), "findings: {:?}", report.findings);
-}
-
-#[test]
 fn lock_order_bad_reports_the_inversion_at_both_later_sites() {
     let (sf, src) = fixture("lock_order_bad.rs");
     let report = run(&[sf], &Config::default());
@@ -218,92 +179,6 @@ fn wire_ok_is_clean() {
     let (sf, _) = fixture("wire_ok.rs");
     let report = run(&[sf], &wire_config("wire_ok.rs"));
     assert!(report.is_clean(), "findings: {:?}", report.findings);
-}
-
-#[test]
-fn metric_bad_fires_on_prefix_suffix_kind_and_table() {
-    let (sf, src) = fixture("metric_bad.rs");
-    let cfg = Config {
-        metric_table: Some(vec![(
-            "ndpipe_fixture_mixed".to_string(),
-            "gauge".to_string(),
-        )]),
-        ..Config::default()
-    };
-    let report = run(&[sf], &cfg);
-    let expect = |mark: &str, needle: &str| {
-        let line = marker_line(&src, mark);
-        assert!(
-            report
-                .findings
-                .iter()
-                .any(|f| f.rule == "metric" && f.line == line && f.message.contains(needle)),
-            "no metric finding at line {line} containing {needle:?}; findings: {:?}",
-            report.findings
-        );
-    };
-    expect("MARK: metric-prefix", "`ndpipe_` prefix");
-    expect("MARK: metric-suffix", "must end in `_total`");
-    expect(
-        "MARK: metric-kind-conflict",
-        "registered as histogram here but as gauge",
-    );
-    expect("MARK: metric-unlisted", "not listed in DESIGN.md");
-}
-
-#[test]
-fn metric_ok_is_clean_against_a_matching_table() {
-    let (sf, _) = fixture("metric_ok.rs");
-    let cfg = Config {
-        metric_table: Some(vec![
-            (
-                "ndpipe_fixture_requests_total".to_string(),
-                "counter".to_string(),
-            ),
-            ("ndpipe_fixture_depth".to_string(), "gauge".to_string()),
-            (
-                "ndpipe_fixture_latency_seconds".to_string(),
-                "histogram".to_string(),
-            ),
-        ]),
-        ..Config::default()
-    };
-    let report = run(&[sf], &cfg);
-    assert!(report.is_clean(), "findings: {:?}", report.findings);
-}
-
-#[test]
-fn metric_table_entry_with_no_registration_fires() {
-    let (sf, _) = fixture("metric_ok.rs");
-    let cfg = Config {
-        metric_table: Some(vec![
-            (
-                "ndpipe_fixture_requests_total".to_string(),
-                "counter".to_string(),
-            ),
-            ("ndpipe_fixture_depth".to_string(), "gauge".to_string()),
-            (
-                "ndpipe_fixture_latency_seconds".to_string(),
-                "histogram".to_string(),
-            ),
-            (
-                "ndpipe_fixture_ghost_total".to_string(),
-                "counter".to_string(),
-            ),
-        ]),
-        ..Config::default()
-    };
-    let report = run(&[sf], &cfg);
-    assert!(
-        report.findings.iter().any(|f| {
-            f.rule == "metric"
-                && f.file == "DESIGN.md"
-                && f.message.contains("ndpipe_fixture_ghost_total")
-                && f.message.contains("never registered")
-        }),
-        "findings: {:?}",
-        report.findings
-    );
 }
 
 // ---- v2 interprocedural families ------------------------------------

@@ -4,6 +4,7 @@ use crate::volume::Volume;
 use crate::StoreError;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use telemetry::catalog;
 
 /// Handles into the process-wide telemetry registry, resolved once at
 /// open so the per-I/O cost is one atomic add. Gauges are updated by
@@ -24,34 +25,16 @@ struct IoMetrics {
 impl IoMetrics {
     fn resolve() -> IoMetrics {
         let g = telemetry::global();
-        let op = |name: &'static str| {
-            g.counter_with(
-                "ndpipe_objstore_ops_total",
-                &[("op", name)],
-                "object-store operations",
-            )
-        };
+        let op = |name: &'static str| g.counter_with(catalog::OBJSTORE_OPS_TOTAL, &[("op", name)]);
         IoMetrics {
             puts: op("put"),
             gets: op("get"),
             deletes: op("delete"),
-            bytes_written: g.counter(
-                "ndpipe_objstore_bytes_written_total",
-                "object payload bytes written",
-            ),
-            bytes_read: g.counter(
-                "ndpipe_objstore_bytes_read_total",
-                "object payload bytes read",
-            ),
-            compact_reclaimed: g.counter(
-                "ndpipe_objstore_compact_reclaimed_bytes_total",
-                "log bytes reclaimed by compaction",
-            ),
-            live_objects: g.gauge(
-                "ndpipe_objstore_live_objects",
-                "live objects across open stores",
-            ),
-            volumes: g.gauge("ndpipe_objstore_volumes", "volumes across open stores"),
+            bytes_written: g.counter(catalog::OBJSTORE_BYTES_WRITTEN_TOTAL),
+            bytes_read: g.counter(catalog::OBJSTORE_BYTES_READ_TOTAL),
+            compact_reclaimed: g.counter(catalog::OBJSTORE_COMPACT_RECLAIMED_BYTES_TOTAL),
+            live_objects: g.gauge(catalog::OBJSTORE_LIVE_OBJECTS),
+            volumes: g.gauge(catalog::OBJSTORE_VOLUMES),
         }
     }
 }

@@ -398,21 +398,27 @@ impl<'a> JsonParser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{CounterDef, GaugeDef, HistogramDef};
     use crate::Registry;
 
     /// Golden-format check: exact exposition text for a small registry.
     #[test]
     fn prometheus_exposition_golden() {
         let reg = Registry::new();
-        reg.counter("ndpipe_demo_requests_total", "requests served")
-            .add(7);
+        reg.counter(CounterDef::new(
+            "ndpipe_demo_requests_total",
+            "requests served",
+        ))
+        .add(7);
         reg.gauge_with(
-            "ndpipe_demo_queue_depth",
+            GaugeDef::new("ndpipe_demo_queue_depth", "items queued"),
             &[("stage", "decode")],
-            "items queued",
         )
         .set(3.0);
-        let h = reg.histogram("ndpipe_demo_latency_seconds", "request latency");
+        let h = reg.histogram(HistogramDef::new(
+            "ndpipe_demo_latency_seconds",
+            "request latency",
+        ));
         // 0.5 and 2.0 are exact bucket bounds, so the exposition is
         // deterministic.
         h.observe(0.5);
@@ -441,9 +447,12 @@ ndpipe_demo_requests_total 7
     #[test]
     fn json_export_is_valid_and_contains_quantiles() {
         let reg = Registry::new();
-        reg.counter_with("ops_total", &[("op", "a\"b")], "ops with a \"quote\"")
-            .inc();
-        let h = reg.histogram("lat_seconds", "latency");
+        reg.counter_with(
+            CounterDef::new("ops_total", "ops with a \"quote\""),
+            &[("op", "a\"b")],
+        )
+        .inc();
+        let h = reg.histogram(HistogramDef::new("lat_seconds", "latency"));
         for i in 1..=100 {
             h.observe(i as f64 / 100.0);
         }

@@ -10,6 +10,8 @@
 //! - [`Histogram`] — log-bucketed value distribution with p50/p95/p99
 //!   estimates (latencies, batch sizes),
 //! - [`SpanTimer`] — RAII stage timer recording into a histogram,
+//! - [`catalog`] — every metric name the workspace registers, with its
+//!   kind and HELP text, declared once,
 //! - [`Registry`] — a named collection of the above; every process has a
 //!   [`global()`] registry and components with identity (a PipeStore, an
 //!   object store) can own local ones,
@@ -34,18 +36,19 @@
 //! case, dimensions as labels (`{op="describe"}`, `{stage="decode"}`).
 //!
 //! ```
-//! use telemetry::Registry;
+//! use telemetry::{catalog, Registry};
 //!
 //! let reg = Registry::new();
-//! reg.counter("ndpipe_demo_requests_total", "requests served").add(3);
-//! let h = reg.histogram("ndpipe_demo_latency_seconds", "request latency");
+//! reg.counter(catalog::ONLINE_REQUESTS_TOTAL).add(3);
+//! let h = reg.histogram(catalog::ONLINE_QUEUE_WAIT_SECONDS);
 //! h.observe(0.004);
 //! h.observe(0.009);
 //! let snap = reg.snapshot();
-//! assert!(snap.to_prometheus().contains("ndpipe_demo_requests_total 3"));
+//! assert!(snap.to_prometheus().contains("ndpipe_online_requests_total 3"));
 //! assert!(telemetry::export::validate_json(&snap.to_json()).is_ok());
 //! ```
 
+pub mod catalog;
 pub mod codec;
 pub mod export;
 pub mod metrics;
@@ -92,7 +95,8 @@ mod tests {
     #[test]
     fn global_registry_is_a_singleton() {
         let a = global().clone();
-        a.counter("ndpipe_test_global_total", "test").inc();
+        a.counter(catalog::CounterDef::new("ndpipe_test_global_total", "test"))
+            .inc();
         let b = global();
         let snap = b.snapshot();
         assert!(snap.counter_value("ndpipe_test_global_total").unwrap_or(0) >= 1);

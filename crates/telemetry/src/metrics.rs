@@ -24,6 +24,10 @@ pub fn bucket_upper(i: usize) -> f64 {
 }
 
 /// Smallest bucket whose upper bound is ≥ `v`.
+#[allow(
+    clippy::neg_cmp_op_on_partial_ord,
+    reason = "`!(v > 0.0)` sends NaN to bucket 0 along with non-positive values"
+)]
 pub fn bucket_index(v: f64) -> usize {
     if !(v > 0.0) {
         return 0;
@@ -301,7 +305,7 @@ mod tests {
         let p99 = h.quantile(0.99);
         // Log buckets are coarse; quantiles must be ordered and inside
         // the observed range.
-        assert!(p50 >= 0.001 && p50 <= 1.0, "p50={p50}");
+        assert!((0.001..=1.0).contains(&p50), "p50={p50}");
         assert!(p99 >= p50, "p50={p50} p99={p99}");
         assert!(h.quantile(0.0) >= 0.001);
         assert!(h.quantile(1.0) <= 1.0 + 1e-12);

@@ -1,10 +1,12 @@
 //! The metric registry: a named, labelled collection of counters,
 //! gauges and histograms.
 //!
-//! Lookup takes a `RwLock`; handles returned by `counter`/`gauge`/
+//! Every metric is registered from its [`crate::catalog`] def. Lookup
+//! takes a `RwLock`; handles returned by `counter`/`gauge`/
 //! `histogram` are cheap clones of the shared atomics, so resolve once
 //! and keep the handle on hot paths.
 
+use crate::catalog::{CounterDef, GaugeDef, HistogramDef};
 use crate::metrics::{Counter, Gauge, Histogram};
 use crate::snapshot::{Sample, SampleValue, Snapshot};
 use std::collections::BTreeMap;
@@ -52,42 +54,42 @@ impl Registry {
     }
 
     /// Counter with no labels.
-    pub fn counter(&self, name: &str, help: &str) -> Counter {
-        self.counter_with(name, &[], help)
+    pub fn counter(&self, def: CounterDef) -> Counter {
+        self.counter_with(def, &[])
     }
 
     /// Counter with labels.
-    pub fn counter_with(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Counter {
-        self.get_or_insert(name, labels, help, "counter", || MetricEntry::Counter {
-            help: help.to_string(),
+    pub fn counter_with(&self, def: CounterDef, labels: &[(&str, &str)]) -> Counter {
+        self.get_or_insert(def.name, labels, "counter", || MetricEntry::Counter {
+            help: def.help.to_string(),
             m: Counter::new(),
         })
         .into_counter()
     }
 
     /// Gauge with no labels.
-    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        self.gauge_with(name, &[], help)
+    pub fn gauge(&self, def: GaugeDef) -> Gauge {
+        self.gauge_with(def, &[])
     }
 
     /// Gauge with labels.
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Gauge {
-        self.get_or_insert(name, labels, help, "gauge", || MetricEntry::Gauge {
-            help: help.to_string(),
+    pub fn gauge_with(&self, def: GaugeDef, labels: &[(&str, &str)]) -> Gauge {
+        self.get_or_insert(def.name, labels, "gauge", || MetricEntry::Gauge {
+            help: def.help.to_string(),
             m: Gauge::new(),
         })
         .into_gauge()
     }
 
     /// Histogram with no labels.
-    pub fn histogram(&self, name: &str, help: &str) -> Histogram {
-        self.histogram_with(name, &[], help)
+    pub fn histogram(&self, def: HistogramDef) -> Histogram {
+        self.histogram_with(def, &[])
     }
 
     /// Histogram with labels.
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Histogram {
-        self.get_or_insert(name, labels, help, "histogram", || MetricEntry::Histogram {
-            help: help.to_string(),
+    pub fn histogram_with(&self, def: HistogramDef, labels: &[(&str, &str)]) -> Histogram {
+        self.get_or_insert(def.name, labels, "histogram", || MetricEntry::Histogram {
+            help: def.help.to_string(),
             m: Histogram::new(),
         })
         .into_histogram()
@@ -97,7 +99,6 @@ impl Registry {
         &self,
         name: &str,
         labels: &[(&str, &str)],
-        _help: &str,
         want_kind: &str,
         make: impl FnOnce() -> MetricEntry,
     ) -> Handle {
@@ -209,23 +210,31 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    const C: CounterDef = CounterDef::new("c_total", "help");
+    const OPS: CounterDef = CounterDef::new("ops_total", "h");
+    const OPS2: CounterDef = CounterDef::new("ops2_total", "h");
+    const CONTENDED: CounterDef = CounterDef::new("ndpipe_test_contended_total", "contention");
+    const CONTENDED_S: HistogramDef =
+        HistogramDef::new("ndpipe_test_contended_seconds", "contention");
+    const CONTENDED_D: GaugeDef = GaugeDef::new("ndpipe_test_contended_depth", "contention");
+
     #[test]
     fn same_key_returns_same_metric() {
         let reg = Registry::new();
-        reg.counter("c_total", "help").add(2);
-        reg.counter("c_total", "help").add(3);
-        assert_eq!(reg.counter("c_total", "help").get(), 5);
+        reg.counter(C).add(2);
+        reg.counter(C).add(3);
+        assert_eq!(reg.counter(C).get(), 5);
         assert_eq!(reg.len(), 1);
     }
 
     #[test]
     fn labels_make_distinct_series() {
         let reg = Registry::new();
-        reg.counter_with("ops_total", &[("op", "get")], "h").inc();
-        reg.counter_with("ops_total", &[("op", "put")], "h").add(2);
+        reg.counter_with(OPS, &[("op", "get")]).inc();
+        reg.counter_with(OPS, &[("op", "put")]).add(2);
         // Label order must not matter.
-        let c = reg.counter_with("ops2_total", &[("a", "1"), ("b", "2")], "h");
-        let c2 = reg.counter_with("ops2_total", &[("b", "2"), ("a", "1")], "h");
+        let c = reg.counter_with(OPS2, &[("a", "1"), ("b", "2")]);
+        let c2 = reg.counter_with(OPS2, &[("b", "2"), ("a", "1")]);
         c.inc();
         c2.inc();
         assert_eq!(c.get(), 2);
@@ -238,8 +247,8 @@ mod tests {
     #[should_panic(expected = "already registered as a counter")]
     fn kind_mismatch_panics() {
         let reg = Registry::new();
-        reg.counter("x", "h");
-        reg.gauge("x", "h");
+        reg.counter(CounterDef::new("x", "h"));
+        reg.gauge(GaugeDef::new("x", "h"));
     }
 
     #[test]
@@ -253,18 +262,16 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 // Half the threads resolve the handle once, half hammer
                 // the registry lookup path too.
-                let c = reg.counter("ndpipe_test_contended_total", "contention");
-                let h = reg.histogram("ndpipe_test_contended_seconds", "contention");
-                let g = reg.gauge("ndpipe_test_contended_depth", "contention");
+                let c = reg.counter(CONTENDED);
+                let h = reg.histogram(CONTENDED_S);
+                let g = reg.gauge(CONTENDED_D);
                 for i in 0..per_thread {
                     if t % 2 == 0 {
                         c.inc();
                         h.observe(0.001);
                     } else {
-                        reg.counter("ndpipe_test_contended_total", "contention")
-                            .inc();
-                        reg.histogram("ndpipe_test_contended_seconds", "contention")
-                            .observe(0.001);
+                        reg.counter(CONTENDED).inc();
+                        reg.histogram(CONTENDED_S).observe(0.001);
                     }
                     if i % 1000 == 0 {
                         g.add(1.0);

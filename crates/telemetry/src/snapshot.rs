@@ -462,7 +462,7 @@ mod tests {
         a.merge_from(&b);
         let p50 = a.quantile(0.5);
         let p99 = a.quantile(0.99);
-        assert!(p50 >= 0.25 && p50 <= 1.0);
+        assert!((0.25..=1.0).contains(&p50));
         assert!(p99 >= p50 && p99 <= 1.0);
         assert_eq!(a.quantile(0.0).min(a.min), a.min);
     }

@@ -55,7 +55,8 @@ pub use shape::Shape;
 pub use telemetry::codec;
 pub use tensor::{argmax_of, Tensor};
 
-/// Thread budget for parallel kernels ([`linalg::Gemm`]): the
+/// Thread budget for parallel kernels ([`linalg::Gemm`], the chunked
+/// DEFLATE codec, the NPE decode pool): the
 /// `NDPIPE_THREADS` environment variable when set (minimum 1), otherwise
 /// the machine's available parallelism.
 ///

@@ -57,6 +57,7 @@ use crate::pack::{
 use crate::pool::{self, PoolError};
 use crate::{MathPolicy, Tensor, TensorError};
 use std::sync::{Mutex, OnceLock};
+use telemetry::catalog;
 
 /// Cache-blocking tile size for [`reference_matmul`]. 64×64 f32 tiles
 /// (16 KiB) fit comfortably in L1 on every machine this project targets.
@@ -71,24 +72,14 @@ const PAR_THRESHOLD: usize = 1 << 21;
 /// path pays one relaxed atomic add, not a registry lookup.
 fn flops_counter() -> &'static telemetry::Counter {
     static FLOPS: OnceLock<telemetry::Counter> = OnceLock::new();
-    FLOPS.get_or_init(|| {
-        telemetry::global().counter(
-            "ndpipe_gemm_flops_total",
-            "f32 floating-point operations executed by the packed GEMM driver",
-        )
-    })
+    FLOPS.get_or_init(|| telemetry::global().counter(catalog::GEMM_FLOPS_TOTAL))
 }
 
 /// Cached handle for `ndpipe_gemm_fast_flops_total`: the subset of GEMM
 /// flops executed under the opt-in `Fast`/`Int8` kernel families.
 fn fast_flops_counter() -> &'static telemetry::Counter {
     static FLOPS: OnceLock<telemetry::Counter> = OnceLock::new();
-    FLOPS.get_or_init(|| {
-        telemetry::global().counter(
-            "ndpipe_gemm_fast_flops_total",
-            "GEMM flops executed by the opt-in fast/int8 kernel families",
-        )
-    })
+    FLOPS.get_or_init(|| telemetry::global().counter(catalog::GEMM_FAST_FLOPS_TOTAL))
 }
 
 pub(crate) fn count_gemm_flops(m: usize, n: usize, k: usize, fast: bool) {
@@ -1120,6 +1111,10 @@ unsafe fn microkernel_avx512_w8(
 /// `pbw` `k*WR`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
+#[allow(
+    clippy::needless_range_loop,
+    reason = "indexed loops over the MR accumulator rows keep the microkernel's loop structure explicit"
+)]
 unsafe fn microkernel_avx512_w(k: usize, pa: &[f32], pbw: &[f32], acc: &mut [[f32; WR]; MR]) {
     use std::arch::x86_64::*;
     const { assert!(NR == 8 && MR == 4 && WR == 16) };
@@ -1148,6 +1143,10 @@ unsafe fn microkernel_avx512_w(k: usize, pa: &[f32], pbw: &[f32], acc: &mut [[f3
 /// `k*NR` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx,fma")]
+#[allow(
+    clippy::needless_range_loop,
+    reason = "indexed loops over the MR accumulator rows keep the microkernel's loop structure explicit"
+)]
 unsafe fn microkernel_fma_1x(k: usize, pa: &[f32], pb: &[f32], acc: &mut [[f32; NR]; MR]) {
     use std::arch::x86_64::*;
     const { assert!(NR == 8 && MR == 4) };
@@ -1237,6 +1236,10 @@ unsafe fn microkernel_fma_2x(
 /// of `pb0`/`pb1` `k*NR`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
+#[allow(
+    clippy::needless_range_loop,
+    reason = "indexed loops over the MR accumulator rows keep the microkernel's loop structure explicit"
+)]
 unsafe fn microkernel_avx512_2x(
     k: usize,
     pa: &[f32],

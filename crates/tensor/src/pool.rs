@@ -23,6 +23,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use telemetry::catalog;
 
 /// Hard cap on pool workers (the caller thread is extra). Sized for the
 /// largest `NDPIPE_THREADS` sweep the benches run, not for real clusters.
@@ -181,10 +182,7 @@ impl Pool {
         };
         if telemetry::enabled() {
             telemetry::global()
-                .gauge(
-                    "ndpipe_pool_queue_depth",
-                    "jobs currently queued for helpers in the shared worker pool",
-                )
+                .gauge(catalog::POOL_QUEUE_DEPTH)
                 .set(depth as f64);
         }
         self.work_available.notify_all();
@@ -200,10 +198,7 @@ impl Pool {
                     q.retain(|j| j.wants_helpers());
                     if telemetry::enabled() {
                         telemetry::global()
-                            .gauge(
-                                "ndpipe_pool_queue_depth",
-                                "jobs currently queued for helpers in the shared worker pool",
-                            )
+                            .gauge(catalog::POOL_QUEUE_DEPTH)
                             .set(q.len() as f64);
                     }
                     if let Some(j) = q.iter().find(|j| j.claim_seat()) {

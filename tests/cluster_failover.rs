@@ -440,13 +440,13 @@ fn every_fanout_reports_a_wrong_reply_shape_per_peer() {
 }
 
 /// Rewrites one `Features` reply in flight.
-type Rewrite = fn(&mut Tensor, &mut Vec<u32>);
+type Rewrite = fn(&mut Tensor, &mut [u32]);
 
 /// Classes of the `Features` proxy test's model and shards.
 const PROXY_CLASSES: usize = 4;
 
 /// Appends a zero column to every feature row.
-fn widen_features(features: &mut Tensor, _: &mut Vec<u32>) {
+fn widen_features(features: &mut Tensor, _: &mut [u32]) {
     let (rows, dim) = (features.dims()[0], features.dims()[1]);
     let mut data = Vec::with_capacity(rows * (dim + 1));
     for row in features.data().chunks_exact(dim) {
@@ -457,7 +457,7 @@ fn widen_features(features: &mut Tensor, _: &mut Vec<u32>) {
 }
 
 /// Names a class the model does not have.
-fn label_past_the_classes(_: &mut Tensor, labels: &mut Vec<u32>) {
+fn label_past_the_classes(_: &mut Tensor, labels: &mut [u32]) {
     labels[0] = PROXY_CLASSES as u32;
 }
 

@@ -201,7 +201,7 @@ fn feature_width_mismatch_is_a_typed_error_not_a_hang() {
         PipeStore::new(0, train),
         PipeStore::new(1, LabeledDataset::new(narrow, labels, 4)),
     ];
-    let (tx, rx) = std::sync::mpsc::channel();
+    let (tx, rx) = std::sync::mpsc::sync_channel(1);
     std::thread::spawn(move || {
         tx.send(ftdmp_fine_tune(
             &mut tuner,

@@ -2,8 +2,8 @@
 //!
 //! This is the same analysis `cargo run -p ndlint` performs — lock-order
 //! cycles, unannotated `Ordering::Relaxed`, panic surface in the no-panic
-//! zones, wire/dispatch exhaustiveness, and metric-name consistency
-//! against DESIGN.md's canonical table.
+//! zones, wire/dispatch exhaustiveness, blocking under held guards and on
+//! the event thread, and declared channel overload policies.
 
 use std::path::Path;
 
@@ -66,7 +66,7 @@ fn workspace_config_zones_and_sites_resolve() {
     }
 }
 
-// ---- v2: baseline, determinism, config resolution, mutations --------
+// ---- determinism, config resolution, mutations ----------------------
 
 /// Re-runs the full analysis with one workspace file's source patched —
 /// the mutation-test harness proving each rule family actually guards
@@ -164,31 +164,12 @@ fn seeded_transitive_lock_inversion_fails_the_gate() {
 }
 
 #[test]
-fn json_report_is_byte_identical_across_runs() {
+fn findings_are_identical_across_runs() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let a = ndlint::json::render_report(&ndlint::run_workspace(root));
-    let b = ndlint::json::render_report(&ndlint::run_workspace(root));
-    assert_eq!(a, b, "two runs over the same tree must render identically");
-    assert!(a.contains("\"schema_version\": 2"));
-}
-
-#[test]
-fn checked_in_baseline_matches_the_tree_exactly() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let report = ndlint::run_workspace(root);
-    let text = std::fs::read_to_string(root.join("ndlint.baseline.json"))
-        .expect("ndlint.baseline.json must be checked in");
-    let baseline = ndlint::json::parse_baseline(&text);
-    let new: Vec<String> = ndlint::json::new_findings(&report, &baseline)
-        .iter()
-        .map(|f| f.to_string())
-        .collect();
-    assert!(new.is_empty(), "findings not in the baseline:\n{}", new.join("\n"));
-    let stale = ndlint::json::stale_baseline(&report, &baseline);
-    assert!(
-        stale.is_empty(),
-        "baseline entries that no longer fire (remove them): {stale:?}"
-    );
+    let a = ndlint::run_workspace(root);
+    let b = ndlint::run_workspace(root);
+    assert_eq!(a.findings, b.findings, "two runs over the same tree must agree");
+    assert_eq!(a.files_scanned, b.files_scanned);
 }
 
 #[test]

@@ -437,7 +437,7 @@ fn a_dead_sessions_batch_does_not_strand_the_next_row() {
 
         // Session B's lone row must come back promptly — a watchdog, not
         // the 30 s idle timeout, decides what "stranded" means.
-        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
         let row = rows[8].clone();
         let worker = std::thread::spawn(move || {
             let label = b.infer(&row);
