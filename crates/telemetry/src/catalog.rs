@@ -5,8 +5,10 @@
 //! defs, so a name cannot drift between call sites, a counter cannot be
 //! re-registered as a gauge, and a metric that is not in the catalog does
 //! not compile. The tests below hold the catalog to the naming scheme and
-//! to DESIGN.md's `### Canonical metric names` table, in both directions.
-//! A new metric is one row here and one row there.
+//! to DESIGN.md's `### Canonical metric names` table, in both directions;
+//! the workspace test `every_catalog_metric_is_registered_outside_tests`
+//! fails on an entry that no non-test code outside this crate registers.
+//! A new metric is one row here, one row there, and a registration site.
 //!
 //! ```
 //! use telemetry::{catalog, Registry};
@@ -62,9 +64,10 @@ macro_rules! catalog {
             pub const $id: catalog!(@def $kind) = <catalog!(@def $kind)>::new($name, $help);
         )*
 
-        /// Every catalogued metric as `(name, kind)`, kind one of
+        /// Every catalogued metric as `(const, name, kind)`: the const's
+        /// identifier in this module, the metric name, and one of
         /// `counter`, `gauge` or `histogram`.
-        pub const ALL: &[(&str, &str)] = &[$(($name, stringify!($kind))),*];
+        pub const ALL: &[(&str, &str, &str)] = &[$((stringify!($id), $name, stringify!($kind))),*];
     };
     (@def counter) => { CounterDef };
     (@def gauge) => { GaugeDef };
@@ -196,7 +199,7 @@ mod tests {
     #[test]
     fn names_follow_the_scheme_and_are_unique() {
         let mut seen = BTreeSet::new();
-        for &(name, kind) in ALL {
+        for &(_, name, kind) in ALL {
             let body = name.strip_prefix("ndpipe_");
             assert!(body.is_some(), "`{name}` must use the `ndpipe_` prefix");
             let snake = name
@@ -247,7 +250,7 @@ mod tests {
         );
         let code: BTreeSet<(String, String)> = ALL
             .iter()
-            .map(|&(n, k)| (n.to_string(), k.to_string()))
+            .map(|&(_, n, k)| (n.to_string(), k.to_string()))
             .collect();
         let missing: Vec<_> = code.difference(&design).collect();
         let unregistered: Vec<_> = design.difference(&code).collect();

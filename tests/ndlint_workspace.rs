@@ -3,7 +3,9 @@
 //! This is the same analysis `cargo run -p ndlint` performs — lock-order
 //! cycles, unannotated `Ordering::Relaxed`, panic surface in the no-panic
 //! zones, wire/dispatch exhaustiveness, blocking under held guards and on
-//! the event thread, and declared channel overload policies.
+//! the event thread, and declared channel overload policies. It also
+//! uses ndlint's scanner to check that every `telemetry::catalog` entry
+//! is registered by non-test code.
 
 use std::path::Path;
 
@@ -68,10 +70,12 @@ fn workspace_config_zones_and_sites_resolve() {
 
 // ---- determinism, config resolution, mutations ----------------------
 
-/// Re-runs the full analysis with one workspace file's source patched —
-/// the mutation-test harness proving each rule family actually guards
-/// the gate.
-fn mutated_report(target_suffix: &str, patch: impl Fn(&str) -> String) -> ndlint::Report {
+/// The workspace sources, parsed, with one file's source patched — the
+/// mutation-test harness proving each check actually guards the gate.
+fn patched_files(
+    target_suffix: &str,
+    patch: impl Fn(&str) -> String,
+) -> Vec<ndlint::scan::SourceFile> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let paths = ndlint::workspace_sources(root);
     let (mut files, errs) = ndlint::parse_files(root, &paths);
@@ -85,7 +89,15 @@ fn mutated_report(target_suffix: &str, patch: impl Fn(&str) -> String) -> ndlint
     assert_ne!(src, patched, "mutation must actually change {target_suffix}");
     let rel = files[i].rel.clone();
     files[i] = ndlint::scan::SourceFile::parse(&paths[i], &rel, &patched);
-    ndlint::run(&files, &ndlint::Config::workspace())
+    files
+}
+
+/// Re-runs the full analysis with one workspace file's source patched.
+fn mutated_report(target_suffix: &str, patch: impl Fn(&str) -> String) -> ndlint::Report {
+    ndlint::run(
+        &patched_files(target_suffix, patch),
+        &ndlint::Config::workspace(),
+    )
 }
 
 fn rules_fired<'a>(r: &'a ndlint::Report, file_suffix: &str) -> Vec<&'a str> {
@@ -195,4 +207,83 @@ fn event_zones_and_policy_paths_resolve() {
             "policy path {p} matches no scanned file"
         );
     }
+}
+
+// ---- metric catalog: every entry has a registration site -------------
+
+/// Catalog consts of `telemetry::catalog::ALL` that no non-test code
+/// outside `crates/telemetry` names as `catalog::<CONST>`. A def's fields
+/// are private to `telemetry`, so outside it the only use of a def is to
+/// hand it to a `Registry` constructor: a const named nowhere is a metric
+/// that DESIGN.md lists and no code registers.
+fn unregistered_catalog_entries(files: &[ndlint::scan::SourceFile]) -> Vec<&'static str> {
+    let mut named = std::collections::BTreeSet::new();
+    let outside_telemetry = files
+        .iter()
+        .filter(|f| !f.rel.starts_with("crates/telemetry/"));
+    for sf in outside_telemetry {
+        let toks = sf.tokens();
+        for (i, w) in toks.windows(4).enumerate() {
+            if w[0].is_ident("catalog")
+                && w[1].is_punct(':')
+                && w[2].is_punct(':')
+                && !sf.in_test(i)
+            {
+                if let Some(id) = w[3].ident() {
+                    named.insert(id.to_string());
+                }
+            }
+        }
+    }
+    telemetry::catalog::ALL
+        .iter()
+        .map(|&(id, _, _)| id)
+        .filter(|id| !named.contains(*id))
+        .collect()
+}
+
+#[test]
+fn every_catalog_metric_is_registered_outside_tests() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let (files, errs) = ndlint::parse_files(root, &ndlint::workspace_sources(root));
+    assert!(errs.is_empty(), "unreadable sources: {errs:?}");
+    let orphans = unregistered_catalog_entries(&files);
+    assert!(
+        orphans.is_empty(),
+        "catalogued (and listed in DESIGN.md) but never registered outside tests: {orphans:?}"
+    );
+}
+
+#[test]
+fn deleted_registration_site_fails_the_metric_check() {
+    let files = patched_files("core/src/rpc/cluster.rs", |src| {
+        src.replace(
+            ".counter(catalog::SHARD_REROUTES_TOTAL)",
+            ".counter(telemetry_gone)",
+        )
+    });
+    assert_eq!(
+        unregistered_catalog_entries(&files),
+        ["SHARD_REROUTES_TOTAL"],
+        "deleting the last registration of a catalogued metric must fail the check"
+    );
+}
+
+#[test]
+fn test_only_registration_does_not_count() {
+    let files = patched_files("core/src/rpc/cluster.rs", |src| {
+        let moved = src.replace(
+            ".counter(catalog::SHARD_REROUTES_TOTAL)",
+            ".counter(telemetry_gone)",
+        );
+        format!(
+            "{moved}\n#[cfg(test)]\nmod registered_only_here {{\n    \
+             fn f(r: &telemetry::Registry) {{ r.counter(telemetry::catalog::SHARD_REROUTES_TOTAL).inc(); }}\n}}\n"
+        )
+    });
+    assert_eq!(
+        unregistered_catalog_entries(&files),
+        ["SHARD_REROUTES_TOTAL"],
+        "a registration inside #[cfg(test)] must not satisfy the check"
+    );
 }
