@@ -162,7 +162,10 @@ pub struct PipelineMeasurements {
 impl PipelineMeasurements {
     /// Best barrier sweep, seconds.
     pub fn barrier_secs(&self) -> f64 {
-        self.barrier_runs.iter().copied().fold(f64::INFINITY, f64::min)
+        self.barrier_runs
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// Best pipelined sweep, seconds.
@@ -305,10 +308,7 @@ fn measure_pinned(p: &PipelineParams) -> PipelineMeasurements {
     // schedule on local clones of the same shards, bit for bit, on a
     // healthy fleet (no straggler — this checks semantics, not speed,
     // and one round keeps it cheap).
-    let s0 = FtdmpConfig {
-        staleness: 0,
-        ..ft
-    };
+    let s0 = FtdmpConfig { staleness: 0, ..ft };
     let mut ref_tuner = Tuner::new(model.clone(), train);
     let mut ref_rng = StdRng::seed_from_u64(9_201);
     let mut ref_stores: Vec<PipeStore> = shards
@@ -316,9 +316,8 @@ fn measure_pinned(p: &PipelineParams) -> PipelineMeasurements {
         .enumerate()
         .map(|(i, shard)| PipeStore::new(i, shard.clone()))
         .collect();
-    let reference =
-        ndpipe::ftdmp_fine_tune(&mut ref_tuner, &mut ref_stores, &s0, &mut ref_rng)
-            .expect("reference oracle job");
+    let reference = ndpipe::ftdmp_fine_tune(&mut ref_tuner, &mut ref_stores, &s0, &mut ref_rng)
+        .expect("reference oracle job");
 
     let mut s0_tuner = Tuner::new(model.clone(), train);
     let mut s0_rng = StdRng::seed_from_u64(9_201);
@@ -465,7 +464,10 @@ pub fn to_json(m: &PipelineMeasurements) -> String {
     ));
     s.push_str(&format!("  \"speedup\": {:.3},\n", m.speedup()));
     s.push_str(&format!("  \"pass_speedup_bar\": {},\n", m.pass_speedup()));
-    s.push_str(&format!("  \"s0_bit_identical\": {},\n", m.s0_bit_identical));
+    s.push_str(&format!(
+        "  \"s0_bit_identical\": {},\n",
+        m.s0_bit_identical
+    ));
     s.push_str(&format!("  \"micro_batches\": {},\n", m.micro_batches));
     s.push_str(&format!("  \"steals\": {},\n", m.steals));
     s.push_str(&format!("  \"stale_steps\": {},\n", m.stale_steps));
@@ -544,7 +546,11 @@ pub fn render(m: &PipelineMeasurements) -> String {
         m.base_top1,
         m.ndpipe_top1,
         m.outdated_top1,
-        if m.accuracy_ordering_ok() { "PASS" } else { "FAIL" }
+        if m.accuracy_ordering_ok() {
+            "PASS"
+        } else {
+            "FAIL"
+        }
     ));
     r.render()
 }

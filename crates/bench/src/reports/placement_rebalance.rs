@@ -213,11 +213,7 @@ fn measure_fleet(peers: usize, p: &PlacementParams) -> FleetMeasurement {
 
 /// Runs the measurement at the given workload size.
 pub fn measure_with(p: &PlacementParams) -> PlacementMeasurements {
-    let fleets = p
-        .peer_counts
-        .iter()
-        .map(|&n| measure_fleet(n, p))
-        .collect();
+    let fleets = p.peer_counts.iter().map(|&n| measure_fleet(n, p)).collect();
     PlacementMeasurements { params: *p, fleets }
 }
 

@@ -137,7 +137,6 @@ pub fn best_organization(input: &ApoInput) -> ApoResult {
     ApoResult { best, sweep }
 }
 
-
 /// Inputs of the Pareto-front search: like [`ApoInput`] but over an
 /// explicitly *heterogeneous* fleet — candidate organizations use the
 /// first `n` entries of `fleet`, so order the list fastest-first to ask
@@ -522,8 +521,10 @@ mod tests {
                 .sum();
             let cost = fleet_cost + input.tuner.cost.run_cost_usd(c.total_secs);
             assert!(
-                front.frontier.iter().any(|p| p.total_secs <= c.total_secs + 1e-9
-                    && p.cost_usd <= cost + 1e-9),
+                front
+                    .frontier
+                    .iter()
+                    .any(|p| p.total_secs <= c.total_secs + 1e-9 && p.cost_usd <= cost + 1e-9),
                 "nothing on the frontier covers find_best_point(n={n}): {c:?}"
             );
         }
@@ -536,20 +537,19 @@ mod tests {
                     && p.partition == best.partition
                     && p.micro_batch == 1
                     && (p.total_secs - best.total_secs).abs() < 1e-9)
-                || front
-                    .frontier
-                    .iter()
-                    .any(|p| p.dominates(&evaluate_point(&input, best.partition, best.n_pipestores, 1))),
+                || front.frontier.iter().any(|p| p.dominates(&evaluate_point(
+                    &input,
+                    best.partition,
+                    best.n_pipestores,
+                    1
+                ))),
             "Algorithm 1's organization fell off the frontier: {best:?}"
         );
     }
 
     #[test]
     fn one_peer_fleet_still_yields_a_frontier() {
-        let input = small_pareto_input(
-            ModelProfile::resnet50(),
-            vec![InstanceSpec::pipestore()],
-        );
+        let input = small_pareto_input(ModelProfile::resnet50(), vec![InstanceSpec::pipestore()]);
         let front = pareto_front(&input);
         assert!(!front.frontier.is_empty());
         assert!(front.frontier.iter().all(|p| p.n_pipestores == 1));
@@ -561,10 +561,7 @@ mod tests {
 
     #[test]
     fn degenerate_all_trainable_model_pins_the_cut_at_zero() {
-        let input = small_pareto_input(
-            degenerate_profile(),
-            vec![InstanceSpec::pipestore(); 3],
-        );
+        let input = small_pareto_input(degenerate_profile(), vec![InstanceSpec::pipestore(); 3]);
         let front = pareto_front(&input);
         assert!(!front.frontier.is_empty());
         assert!(front.frontier.iter().all(|p| p.partition == 0));

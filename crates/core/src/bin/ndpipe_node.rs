@@ -269,7 +269,10 @@ fn run_tuner(args: &[String]) -> ExitCode {
         .unwrap_or(addrs.len())
         .clamp(1, addrs.len());
     if peers < addrs.len() {
-        eprintln!("tuner: driving first {peers} of {} given peers", addrs.len());
+        eprintln!(
+            "tuner: driving first {peers} of {} given peers",
+            addrs.len()
+        );
         addrs.truncate(peers);
     }
     let cluster = match Cluster::builder().policy(policy).connect(&addrs) {

@@ -266,11 +266,7 @@ pub(crate) fn check_features(
     Ok(())
 }
 
-fn validate(
-    tuner: &Tuner,
-    stores: &[PipeStore],
-    config: &FtdmpConfig,
-) -> Result<(), FtdmpError> {
+fn validate(tuner: &Tuner, stores: &[PipeStore], config: &FtdmpConfig) -> Result<(), FtdmpError> {
     if stores.is_empty() {
         return Err(FtdmpError::NoStores);
     }

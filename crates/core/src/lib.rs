@@ -60,8 +60,8 @@ pub mod ftdmp;
 pub mod labeldb;
 pub mod npe;
 pub mod online;
-pub mod placement;
 pub mod pipestore;
+pub mod placement;
 pub mod rpc;
 pub mod sanitize;
 pub mod system;
@@ -71,6 +71,6 @@ pub use apo::{pareto_front, ApoInput, ApoResult, ParetoFront, ParetoInput, Paret
 pub use checknrun::ModelDelta;
 pub use ftdmp::{ftdmp_fine_tune, FtdmpConfig, FtdmpError, FtdmpReport, ScheduleStats};
 pub use labeldb::LabelDb;
-pub use placement::{PlacementError, PlacementMap};
 pub use pipestore::PipeStore;
+pub use placement::{PlacementError, PlacementMap};
 pub use tuner::Tuner;

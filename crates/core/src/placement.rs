@@ -248,7 +248,11 @@ impl PlacementMap {
         let key = mix64(node ^ SHARD_KEY_SALT);
         if self.is_up(node) {
             let mut holders = vec![node];
-            holders.extend(self.ranked(key, (self.replicas as usize).saturating_sub(1), Some(node)));
+            holders.extend(self.ranked(
+                key,
+                (self.replicas as usize).saturating_sub(1),
+                Some(node),
+            ));
             holders
         } else {
             self.ranked(key, self.replicas as usize, Some(node))
@@ -377,10 +381,7 @@ mod tests {
         }
         for (id, &n) in primaries.iter().enumerate() {
             // Perfect balance is 512; HRW should land well within 2x.
-            assert!(
-                n > 256 && n < 1024,
-                "node {id} owns {n} of 4096 primaries"
-            );
+            assert!(n > 256 && n < 1024, "node {id} owns {n} of 4096 primaries");
         }
     }
 
@@ -416,10 +417,7 @@ mod tests {
         for p in 0..512u64 {
             assert_eq!(m.replicas_for(p), fresh.replicas_for(p));
         }
-        assert_eq!(
-            m.mark_down(99),
-            Err(PlacementError::UnknownNode(99))
-        );
+        assert_eq!(m.mark_down(99), Err(PlacementError::UnknownNode(99)));
     }
 
     #[test]
@@ -444,7 +442,10 @@ mod tests {
         let after = m.shard_holders(4);
         assert_eq!(after.len(), 2);
         assert!(!after.contains(&4));
-        assert_eq!(after[0], backup, "backup ordering survives the owner's death");
+        assert_eq!(
+            after[0], backup,
+            "backup ordering survives the owner's death"
+        );
     }
 
     #[test]

@@ -152,7 +152,10 @@ fn replicated_fleet_reroutes_around_a_dead_store() {
         .and_then(|l| l.split_whitespace().last())
         .and_then(|s| s.parse().ok())
         .expect("parse reroute count");
-    assert!(reroutes > 0, "dead store's shard was not rerouted: {stdout}");
+    assert!(
+        reroutes > 0,
+        "dead store's shard was not rerouted: {stdout}"
+    );
     assert!(stdout.contains("examples trained"), "stdout: {stdout}");
 
     // The two surviving pipestore processes exit cleanly.

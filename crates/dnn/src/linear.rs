@@ -390,7 +390,11 @@ mod tests {
         let q = l.forward_with(&x, MathPolicy::Int8);
         assert_eq!(q.dims(), det.dims());
         let amax = x.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        let wmax = l.weights().data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        let wmax = l
+            .weights()
+            .data()
+            .iter()
+            .fold(0.0f32, |m, v| m.max(v.abs()));
         let (sa, sw) = (amax / 127.0, wmax / 127.0);
         let bound = 8.0 * (amax * sw / 2.0 + wmax * sa / 2.0 + sa * sw / 4.0) * 1.05 + 1e-6;
         for (a, b) in q.data().iter().zip(det.data()) {

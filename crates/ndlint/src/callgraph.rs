@@ -33,13 +33,69 @@ use std::collections::BTreeMap;
 /// Method names too generic to widen across impls (std collection / trait
 /// vocabulary). Exact `self.`/`Type::` resolution still applies to them.
 pub const UBIQUITOUS_METHODS: &[&str] = &[
-    "all", "any", "as_mut", "as_ref", "chain", "clear", "clone", "cloned", "cmp", "collect",
-    "contains", "contains_key", "count", "default", "drain", "enumerate", "eq", "extend",
-    "filter", "filter_map", "find", "first", "flatten", "fmt", "get", "get_mut", "hash", "insert",
-    "into", "into_iter", "is_empty", "iter", "iter_mut", "keys", "last", "len", "map", "max",
-    "max_by_key", "min", "min_by_key", "name", "new", "next", "pop", "position", "push", "read",
-    "remove", "rev", "set", "sort", "sort_unstable", "split", "sum", "take", "to_string",
-    "to_vec", "trim", "values", "with_capacity", "write", "zip",
+    "all",
+    "any",
+    "as_mut",
+    "as_ref",
+    "chain",
+    "clear",
+    "clone",
+    "cloned",
+    "cmp",
+    "collect",
+    "contains",
+    "contains_key",
+    "count",
+    "default",
+    "drain",
+    "enumerate",
+    "eq",
+    "extend",
+    "filter",
+    "filter_map",
+    "find",
+    "first",
+    "flatten",
+    "fmt",
+    "get",
+    "get_mut",
+    "hash",
+    "insert",
+    "into",
+    "into_iter",
+    "is_empty",
+    "iter",
+    "iter_mut",
+    "keys",
+    "last",
+    "len",
+    "map",
+    "max",
+    "max_by_key",
+    "min",
+    "min_by_key",
+    "name",
+    "new",
+    "next",
+    "pop",
+    "position",
+    "push",
+    "read",
+    "remove",
+    "rev",
+    "set",
+    "sort",
+    "sort_unstable",
+    "split",
+    "sum",
+    "take",
+    "to_string",
+    "to_vec",
+    "trim",
+    "values",
+    "with_capacity",
+    "write",
+    "zip",
 ];
 
 /// One fn definition in the graph.
@@ -150,7 +206,9 @@ pub fn build(files: &[SourceFile]) -> CallGraph {
         let hi = close.min(toks.len().saturating_sub(1));
         let mut sites = Vec::new();
         for i in (open + 1)..hi {
-            let Some(name) = toks[i].ident() else { continue };
+            let Some(name) = toks[i].ident() else {
+                continue;
+            };
             if KEYWORDS.contains(&name) || sf.in_test(i) {
                 continue;
             }
@@ -160,7 +218,10 @@ pub fn build(files: &[SourceFile]) -> CallGraph {
                 continue;
             }
             // Not a macro (`name!(`), not a definition (`fn name(`).
-            if toks.get(i.wrapping_sub(1)).is_some_and(|t| t.is_ident("fn")) {
+            if toks
+                .get(i.wrapping_sub(1))
+                .is_some_and(|t| t.is_ident("fn"))
+            {
                 continue;
             }
             let prev = i.checked_sub(1).map(|j| &toks[j]);
@@ -177,9 +238,7 @@ pub fn build(files: &[SourceFile]) -> CallGraph {
                             .unwrap_or_else(|| widened(&methods_by_name, name)),
                         None => widened(&methods_by_name, name),
                     }
-                } else if let Some(t) =
-                    recv.and_then(|r| loose_types.get(&loose_key(r)).copied())
-                {
+                } else if let Some(t) = recv.and_then(|r| loose_types.get(&loose_key(r)).copied()) {
                     by_type_method
                         .get(&(t, name))
                         .cloned()
@@ -187,12 +246,16 @@ pub fn build(files: &[SourceFile]) -> CallGraph {
                 } else {
                     widened(&methods_by_name, name)
                 }
-            } else if prev.is_some_and(|t| t.is_punct(':')) && prev2.is_some_and(|t| t.is_punct(':'))
+            } else if prev.is_some_and(|t| t.is_punct(':'))
+                && prev2.is_some_and(|t| t.is_punct(':'))
             {
                 // Path call `Seg::name(...)`: exact when `Seg` is a known
                 // impl target, otherwise no edge (std / module path).
                 match prev3.and_then(|t| t.ident()) {
-                    Some(seg) => by_type_method.get(&(seg, name)).cloned().unwrap_or_default(),
+                    Some(seg) => by_type_method
+                        .get(&(seg, name))
+                        .cloned()
+                        .unwrap_or_default(),
                     None => Vec::new(),
                 }
             } else {
@@ -256,7 +319,10 @@ mod tests {
              fn top() { helper(); std::thread::sleep(d); }",
         )];
         let g = build(&files);
-        assert_eq!(names_called_by(&g, &files, "m"), ["assoc", "helper", "inner"]);
+        assert_eq!(
+            names_called_by(&g, &files, "m"),
+            ["assoc", "helper", "inner"]
+        );
         // `sleep` is not defined in the workspace: no edge.
         assert_eq!(names_called_by(&g, &files, "top"), ["helper"]);
     }

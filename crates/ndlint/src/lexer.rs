@@ -563,7 +563,7 @@ mod tests {
             "// ndlint: policy(block, reason = \"cap is backpressure\")\n",
             "let (tx, rx) = mpsc::sync_channel(8);\n",
             "// ndlint: policy(spill, reason = \"nope\")\n", // unknown kind
-            "// ndlint: policy(drop)\n",                    // missing reason
+            "// ndlint: policy(drop)\n",                     // missing reason
         ));
         assert_eq!(l.policies.len(), 1);
         assert_eq!(l.policies[0].kind, "block");

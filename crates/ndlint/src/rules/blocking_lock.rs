@@ -226,7 +226,11 @@ mod tests {
         );
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].rule, "blocking");
-        assert!(out[0].message.contains("`mid` -> `leaf`"), "{}", out[0].message);
+        assert!(
+            out[0].message.contains("`mid` -> `leaf`"),
+            "{}",
+            out[0].message
+        );
     }
 
     #[test]

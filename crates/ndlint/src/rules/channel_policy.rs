@@ -39,7 +39,9 @@ pub fn check(files: &[SourceFile], cfg: &Config, out: &mut Vec<Finding>) {
         let toks = sf.tokens();
         let mut lines = Vec::new();
         for i in 0..toks.len() {
-            let Some(name) = toks[i].ident() else { continue };
+            let Some(name) = toks[i].ident() else {
+                continue;
+            };
             if !BOUNDED_CTORS.contains(&name) || !is_call(toks, i + 1) || sf.in_test(i) {
                 continue;
             }
@@ -222,7 +224,9 @@ mod tests {
     fn undeclared_bounded_channel_fires() {
         let out = lint("fn f() { let (tx, rx) = mpsc::sync_channel(4); }");
         assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains("without a declared overload policy"));
+        assert!(out[0]
+            .message
+            .contains("without a declared overload policy"));
     }
 
     #[test]

@@ -41,12 +41,7 @@ struct Edge {
     message: String,
 }
 
-pub fn check(
-    files: &[SourceFile],
-    graph: &CallGraph,
-    sums: &[FnSummary],
-    out: &mut Vec<Finding>,
-) {
+pub fn check(files: &[SourceFile], graph: &CallGraph, sums: &[FnSummary], out: &mut Vec<Finding>) {
     let mut edges: Vec<Edge> = Vec::new();
 
     // Intra-fn ordered pairs.
@@ -213,7 +208,8 @@ mod tests {
         );
         assert!(!out.is_empty(), "interprocedural cycle must be seen");
         assert!(
-            out.iter().any(|f| f.message.contains("transitively acquires")),
+            out.iter()
+                .any(|f| f.message.contains("transitively acquires")),
             "{out:?}"
         );
     }

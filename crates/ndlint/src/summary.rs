@@ -147,11 +147,13 @@ pub fn summarize(files: &[SourceFile], graph: &CallGraph) -> Vec<FnSummary> {
             });
         }
         for l in &s.locks {
-            s.lock_classes.entry(l.class.clone()).or_insert(Via::Direct {
-                tok: l.tok,
-                line: l.line,
-                col: l.col,
-            });
+            s.lock_classes
+                .entry(l.class.clone())
+                .or_insert(Via::Direct {
+                    tok: l.tok,
+                    line: l.line,
+                    col: l.col,
+                });
         }
         let _ = id;
         out.push(s);
@@ -219,10 +221,7 @@ pub fn blocking_chain(
         match *via {
             Via::Direct { line, .. } => {
                 let n = &graph.nodes[id];
-                hops.push(format!(
-                    "`{}` ({}:{})",
-                    n.name, files[n.file].rel, line
-                ));
+                hops.push(format!("`{}` ({}:{})", n.name, files[n.file].rel, line));
                 break;
             }
             Via::Call { callee, .. } => {
@@ -335,12 +334,7 @@ pub fn lock_sites(sf: &SourceFile, open: usize, close: usize) -> Vec<LockSite> {
 }
 
 /// Computes the guard-held token range for each acquisition.
-fn held_regions(
-    sf: &SourceFile,
-    locks: &[LockSite],
-    open: usize,
-    close: usize,
-) -> Vec<HeldRegion> {
+fn held_regions(sf: &SourceFile, locks: &[LockSite], open: usize, close: usize) -> Vec<HeldRegion> {
     let toks = sf.tokens();
     let mut out = Vec::new();
     for l in locks {
@@ -548,7 +542,12 @@ mod tests {
         let s = summary_of(&files, &g, &sums, "f");
         assert_eq!(s.held.len(), 1);
         // The send's token must be outside the held region.
-        let send_tok = s.prims.iter().find(|p| p.kind == BlockKind::ChanSend).unwrap().tok;
+        let send_tok = s
+            .prims
+            .iter()
+            .find(|p| p.kind == BlockKind::ChanSend)
+            .unwrap()
+            .tok;
         assert!(send_tok > s.held[0].end);
     }
 
@@ -561,10 +560,20 @@ mod tests {
         let g = callgraph::build(&files);
         let sums = summarize(&files, &g);
         let f = summary_of(&files, &g, &sums, "f");
-        let send_tok = f.prims.iter().find(|p| p.kind == BlockKind::ChanSend).unwrap().tok;
+        let send_tok = f
+            .prims
+            .iter()
+            .find(|p| p.kind == BlockKind::ChanSend)
+            .unwrap()
+            .tok;
         assert!(send_tok > f.held[0].end, "drop(g) releases before send");
         let h = summary_of(&files, &g, &sums, "h");
-        let send_tok = h.prims.iter().find(|p| p.kind == BlockKind::ChanSend).unwrap().tok;
+        let send_tok = h
+            .prims
+            .iter()
+            .find(|p| p.kind == BlockKind::ChanSend)
+            .unwrap()
+            .tok;
         assert!(
             send_tok <= h.held[0].end,
             "no drop: guard held to block end"

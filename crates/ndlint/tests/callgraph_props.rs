@@ -18,7 +18,11 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 const FN_NAMES: &[&str] = &[
-    "alpha_task", "beta_task", "gamma_task", "delta_task", "epsilon_task",
+    "alpha_task",
+    "beta_task",
+    "gamma_task",
+    "delta_task",
+    "epsilon_task",
 ];
 
 /// One generated function body: which peers it calls, and whether it
@@ -37,7 +41,11 @@ fn gen_fns() -> impl Strategy<Value = Vec<GenFn>> {
             any::<bool>(),
             any::<bool>(),
         )
-            .prop_map(|(calls, sleeps, locks)| GenFn { calls, sleeps, locks }),
+            .prop_map(|(calls, sleeps, locks)| GenFn {
+                calls,
+                sleeps,
+                locks,
+            }),
         FN_NAMES.len()..FN_NAMES.len() + 1,
     )
 }

@@ -111,7 +111,11 @@ mod tests {
 
     #[test]
     fn names_roundtrip() {
-        for p in [MathPolicy::Deterministic, MathPolicy::Fast, MathPolicy::Int8] {
+        for p in [
+            MathPolicy::Deterministic,
+            MathPolicy::Fast,
+            MathPolicy::Int8,
+        ] {
             assert_eq!(MathPolicy::parse(p.as_str()), Some(p));
             assert_eq!(MathPolicy::from_u8(p.to_u8()), Some(p));
         }

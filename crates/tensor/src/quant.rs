@@ -50,7 +50,11 @@ impl QuantizedMatrix {
     ///
     /// Panics unless `t` is rank 2.
     pub fn quantize(t: &Tensor) -> Self {
-        assert_eq!(t.shape().rank(), 2, "QuantizedMatrix::quantize needs a matrix");
+        assert_eq!(
+            t.shape().rank(),
+            2,
+            "QuantizedMatrix::quantize needs a matrix"
+        );
         quantize_view(&MatRef::row_major(t.data(), t.dims()[0], t.dims()[1]))
     }
 

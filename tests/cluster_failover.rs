@@ -810,7 +810,8 @@ fn kill_restart_rejoin_cycle(
         .get(victim)
         .map(|s| s.local_addr())
         .expect("rejoined server present");
-    let mut direct = RemotePipeStore::connect_with(rejoined, fast_opts()).expect("connect rejoined");
+    let mut direct =
+        RemotePipeStore::connect_with(rejoined, fast_opts()).expect("connect rejoined");
     let held = direct.list_photos().expect("list photos");
     assert!(
         !held.is_empty(),
@@ -853,7 +854,14 @@ fn soak_kill_restart_rejoin_every_node() {
     const N_PHOTOS: u64 = 30;
     let (mut servers, mut addrs, mut map, mut epochs) = photo_fleet(3, 2, N_PHOTOS);
     for cycle in 0..3 {
-        kill_restart_rejoin_cycle(&mut servers, &mut addrs, &mut map, cycle, N_PHOTOS, &mut epochs);
+        kill_restart_rejoin_cycle(
+            &mut servers,
+            &mut addrs,
+            &mut map,
+            cycle,
+            N_PHOTOS,
+            &mut epochs,
+        );
     }
     assert!(
         epochs.windows(2).all(|w| w[0] < w[1]),

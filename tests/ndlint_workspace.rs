@@ -86,7 +86,10 @@ fn patched_files(
         .unwrap_or_else(|| panic!("{target_suffix} not in the scan set"));
     let src = std::fs::read_to_string(&paths[i]).expect("re-read target");
     let patched = patch(&src);
-    assert_ne!(src, patched, "mutation must actually change {target_suffix}");
+    assert_ne!(
+        src, patched,
+        "mutation must actually change {target_suffix}"
+    );
     let rel = files[i].rel.clone();
     files[i] = ndlint::scan::SourceFile::parse(&paths[i], &rel, &patched);
     files
@@ -180,7 +183,10 @@ fn findings_are_identical_across_runs() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let a = ndlint::run_workspace(root);
     let b = ndlint::run_workspace(root);
-    assert_eq!(a.findings, b.findings, "two runs over the same tree must agree");
+    assert_eq!(
+        a.findings, b.findings,
+        "two runs over the same tree must agree"
+    );
     assert_eq!(a.files_scanned, b.files_scanned);
 }
 
@@ -192,7 +198,10 @@ fn event_zones_and_policy_paths_resolve() {
         .map(|p| p.to_string_lossy().replace('\\', "/"))
         .collect();
     let cfg = ndlint::Config::workspace();
-    assert!(!cfg.event_zones.is_empty(), "workspace must declare an event zone");
+    assert!(
+        !cfg.event_zones.is_empty(),
+        "workspace must declare an event zone"
+    );
     for z in &cfg.event_zones {
         assert!(
             rels.iter().any(|r| r.ends_with(&z.file_suffix)),
@@ -200,7 +209,10 @@ fn event_zones_and_policy_paths_resolve() {
             z.file_suffix
         );
     }
-    assert!(!cfg.policy_paths.is_empty(), "workspace must declare policy paths");
+    assert!(
+        !cfg.policy_paths.is_empty(),
+        "workspace must declare policy paths"
+    );
     for p in &cfg.policy_paths {
         assert!(
             rels.iter().any(|r| r.contains(p.as_str())),

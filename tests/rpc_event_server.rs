@@ -575,8 +575,14 @@ fn soak_holds_a_thousand_concurrent_sessions() {
         // Caps mirror WORK_QUEUE_CAP / DONE_QUEUE_CAP in rpc/server.rs.
         let work_hw = ndpipe::sanitize::high_water("rpc.work");
         let done_hw = ndpipe::sanitize::high_water("rpc.done");
-        assert!(work_hw <= 1024, "work queue overflowed its bound: {work_hw}");
-        assert!(done_hw <= 4096, "done queue overflowed its bound: {done_hw}");
+        assert!(
+            work_hw <= 1024,
+            "work queue overflowed its bound: {work_hw}"
+        );
+        assert!(
+            done_hw <= 4096,
+            "done queue overflowed its bound: {done_hw}"
+        );
         println!("soak sanitizer: work hw {work_hw}, done hw {done_hw}");
     }
 }
