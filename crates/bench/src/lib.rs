@@ -1,17 +1,18 @@
 //! Experiment harness: regenerates every table and figure of the paper's
-//! evaluation (§3–§7).
+//! evaluation (§3–§7) and the artifact appendix.
 //!
 //! Each `reports::*` module produces one figure/table as a plain-text TSV
-//! report with a paper-vs-measured note; the `src/bin/*` binaries are
-//! thin wrappers, and `src/bin/run_all.rs` regenerates everything in one
-//! go. Criterion micro-benchmarks of the hot code paths live under
-//! `benches/`.
+//! report with a paper-vs-measured note, and `reports::ALL` lists them in
+//! paper order. The `repro` binary runs entries of that table by name
+//! (`repro [--fast] [<name>...]`, all of them when no name is given) and
+//! writes each report to `results/<name>.txt`. Per-layer micro-timings of
+//! the hot paths live in the benchmark ledger (`ledger/`), not here.
 //!
 //! Accuracy experiments (Fig 4, Fig 17, Tables 1–2) run real SGD and take
-//! a minute or two in release mode; pass `--fast` to any binary for a
-//! smaller (noisier) configuration.
+//! a minute or two in release mode; `--fast` picks a smaller (noisier)
+//! configuration.
 
 pub mod reports;
 pub mod util;
 
-pub use util::{fast_flag, Report};
+pub use util::Report;

@@ -80,5 +80,15 @@ mod tests {
         let s = super::run(true);
         assert!(s.contains("post-tune top-1"));
         assert!(s.contains("labels changed"));
+
+        // The workflow runs FT-DMP, Check-N-Run and online inference, all
+        // of which record into the process-global registry.
+        let snapshot = telemetry::global().snapshot();
+        assert!(
+            !snapshot.is_empty(),
+            "artifact run recorded no telemetry — instrumentation regressed"
+        );
+        telemetry::export::validate_json(&snapshot.to_json())
+            .unwrap_or_else(|e| panic!("telemetry snapshot JSON malformed: {e}"));
     }
 }

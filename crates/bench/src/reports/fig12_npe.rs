@@ -74,7 +74,7 @@ pub fn run(fast: bool) -> String {
     ]);
     r.note(&format!(
         "measured on {} photos: pipelined wall tracks the busiest stage, not the sum; \
-         see bench_report for the full sweep",
+         see the npe_pipeline report for the full sweep",
         params.photos
     ));
     r.render()

@@ -1,7 +1,6 @@
 //! Opt-in fast-math benchmark: the `MathPolicy::Fast` FMA/AVX-512
 //! microkernels and the `MathPolicy::Int8` quantized FE path against the
-//! deterministic packed oracle, with a machine-readable JSON artifact
-//! (`BENCH_gemm_fast.json`).
+//! deterministic packed oracle.
 //!
 //! Three measurements, matching the fast-math acceptance criteria:
 //!
@@ -117,7 +116,7 @@ impl VariantAccuracy {
     }
 }
 
-/// Everything the bench measures, ready for rendering as text or JSON.
+/// Everything the bench measures, ready for rendering.
 #[derive(Debug, Clone)]
 pub struct FastMeasurements {
     /// The workload that was run.
@@ -403,44 +402,6 @@ pub fn measure_with(p: &BenchParams) -> FastMeasurements {
     m
 }
 
-/// Renders the measurements as the machine-readable JSON artifact.
-pub fn to_json(m: &FastMeasurements) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"gemm_fast\",\n");
-    s.push_str(&format!("  \"cpus\": {},\n", m.cpus));
-    s.push_str(&format!("  \"dim\": {},\n", m.params.dim));
-    s.push_str(&format!("  \"fast_kernel\": \"{}\",\n", m.fast_kernel));
-    s.push_str(&format!("  \"det_gflops\": {:.2},\n", m.det_gflops));
-    s.push_str(&format!("  \"fast_gflops\": {:.2},\n", m.fast_gflops));
-    s.push_str(&format!("  \"int8_gflops\": {:.2},\n", m.int8_gflops));
-    s.push_str(&format!("  \"fast_speedup\": {:.3},\n", m.fast_speedup()));
-    s.push_str(&format!("  \"npe_det_ips\": {:.1},\n", m.npe_det_ips));
-    s.push_str(&format!("  \"npe_fast_ips\": {:.1},\n", m.npe_fast_ips));
-    s.push_str(&format!("  \"npe_speedup\": {:.3},\n", m.npe_speedup()));
-    s.push_str(&format!(
-        "  \"quant_accuracy_delta\": {:.4},\n",
-        m.quant_accuracy_delta()
-    ));
-    s.push_str(&format!(
-        "  \"int8_ordering_holds\": {},\n",
-        m.int8_ordering_holds()
-    ));
-    s.push_str("  \"accuracy\": [\n");
-    for (i, v) in m.accuracy.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"variant\": \"{}\", \"det_top1\": {:.4}, \"int8_top1\": {:.4}}}{}\n",
-            v.variant,
-            v.det_top1,
-            v.int8_top1,
-            if i + 1 < m.accuracy.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
-}
-
 /// Renders the measurements as a human-readable report.
 pub fn render(m: &FastMeasurements) -> String {
     let mut r = Report::new(
@@ -466,11 +427,11 @@ pub fn render(m: &FastMeasurements) -> String {
         } else {
             0.0
         };
-        r.row(&[policy.into(), fmt(gflops, 2), format!("{ratio:.2}x")]);
+        r.row(&[policy.into(), fmt(gflops, 2), format!("{ratio:.3}x")]);
     }
     r.blank();
     r.note(&format!(
-        "NPE batched FE: {:.0} items/s det -> {:.0} items/s fast ({:.2}x)",
+        "NPE batched FE: {:.1} items/s det -> {:.1} items/s fast ({:.3}x)",
         m.npe_det_ips,
         m.npe_fast_ips,
         m.npe_speedup()
@@ -504,7 +465,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tiny_measurement_is_consistent_and_json_is_well_formed() {
+    fn tiny_measurement_is_consistent() {
         let m = measure_with(&BenchParams::tiny());
         assert!(m.det_gflops > 0.0 && m.fast_gflops > 0.0 && m.int8_gflops > 0.0);
         assert!(m.npe_det_ips > 0.0 && m.npe_fast_ips > 0.0);
@@ -519,26 +480,6 @@ mod tests {
             "int8 FE moved accuracy by {:.3}",
             m.quant_accuracy_delta()
         );
-
-        let json = to_json(&m);
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces:\n{json}"
-        );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        for key in [
-            "\"bench\"",
-            "\"fast_kernel\"",
-            "\"det_gflops\"",
-            "\"fast_speedup\"",
-            "\"npe_speedup\"",
-            "\"quant_accuracy_delta\"",
-            "\"int8_ordering_holds\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert!(!json.contains("NaN") && !json.contains("inf"));
 
         let text = render(&m);
         assert!(text.contains("deterministic"));

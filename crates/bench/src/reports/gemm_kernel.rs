@@ -1,13 +1,12 @@
 //! Packed-panel GEMM kernel benchmark: GFLOP/s of the old naive kernel
 //! (`linalg::reference_matmul`) vs the packed MR×NR microkernel, serial
-//! and on the shared worker pool, with a machine-readable JSON artifact
-//! (`BENCH_gemm_kernel.json`).
+//! and on the shared worker pool.
 //!
 //! Every measured point is checked bit-identical against the reference
 //! kernel before its time is reported — a fast wrong kernel fails the
 //! bench. On single-core machines the pooled points cannot scale, so the
-//! JSON records the host CPU count alongside the thread sweep (same
-//! convention as `BENCH_npe_pipeline.json`).
+//! report records the host CPU count alongside the thread sweep (same
+//! convention as `npe_pipeline`).
 
 use crate::util::{fmt, Report};
 use rand::rngs::StdRng;
@@ -56,7 +55,7 @@ pub struct GemmPoint {
     pub secs: f64,
 }
 
-/// Everything the bench measures, ready for rendering as text or JSON.
+/// Everything the bench measures, ready for rendering.
 #[derive(Debug, Clone)]
 pub struct GemmMeasurements {
     /// The workload that was run.
@@ -158,47 +157,6 @@ pub fn measure_with(p: &BenchParams) -> GemmMeasurements {
     }
 }
 
-/// Renders the measurements as the machine-readable JSON artifact.
-pub fn to_json(m: &GemmMeasurements) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"gemm_kernel\",\n");
-    s.push_str(&format!("  \"cpus\": {},\n", m.cpus));
-    s.push_str(&format!("  \"dim\": {},\n", m.params.dim));
-    s.push_str(&format!("  \"mr\": {MR},\n"));
-    s.push_str(&format!("  \"nr\": {NR},\n"));
-    s.push_str(&format!(
-        "  \"old_gflops\": {:.2},\n",
-        m.find("old", 1).map_or(0.0, |p| p.gflops)
-    ));
-    s.push_str(&format!(
-        "  \"packed_serial_gflops\": {:.2},\n",
-        m.packed_serial_gflops()
-    ));
-    s.push_str(&format!(
-        "  \"speedup_vs_old\": {:.3},\n",
-        m.speedup_vs_old()
-    ));
-    s.push_str(&format!(
-        "  \"best_pooled_gflops\": {:.2},\n",
-        m.best_pooled_gflops()
-    ));
-    s.push_str("  \"points\": [\n");
-    for (i, pt) in m.points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"threads\": {}, \"gflops\": {:.2}, \"secs\": {:.5}}}{}\n",
-            pt.kernel,
-            pt.threads,
-            pt.gflops,
-            pt.secs,
-            if i + 1 < m.points.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
-}
-
 /// Renders the measurements as a human-readable report.
 pub fn render(m: &GemmMeasurements) -> String {
     let mut r = Report::new(
@@ -218,13 +176,14 @@ pub fn render(m: &GemmMeasurements) -> String {
             pt.kernel.into(),
             pt.threads.to_string(),
             fmt(pt.gflops, 2),
-            fmt(pt.secs, 4),
+            fmt(pt.secs, 5),
         ]);
     }
     r.blank();
     r.note(&format!(
-        "packed serial speedup over old kernel: {:.2}x",
-        m.speedup_vs_old()
+        "packed serial speedup over old kernel: {:.3}x; best pooled: {:.2} GFLOP/s",
+        m.speedup_vs_old(),
+        m.best_pooled_gflops()
     ));
     r.render()
 }
@@ -244,30 +203,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tiny_measurement_is_consistent_and_json_is_well_formed() {
+    fn tiny_measurement_is_consistent() {
         let m = measure_with(&BenchParams::tiny());
         assert_eq!(m.points.len(), 4);
         assert!(m.points.iter().all(|p| p.gflops > 0.0 && p.secs > 0.0));
         assert!(m.packed_serial_gflops() > 0.0);
-
-        let json = to_json(&m);
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces:\n{json}"
-        );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        for key in [
-            "\"bench\"",
-            "\"cpus\"",
-            "\"old_gflops\"",
-            "\"packed_serial_gflops\"",
-            "\"speedup_vs_old\"",
-            "\"kernel\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert!(!json.contains("NaN") && !json.contains("inf"));
 
         let text = render(&m);
         assert!(text.contains("packed"));

@@ -1,13 +1,12 @@
 //! Executable NPE pipeline benchmark: measured serial-vs-pipelined
-//! offline-inference throughput and parallel chunked-codec throughput,
-//! with a machine-readable JSON artifact (`BENCH_npe_pipeline.json`).
+//! offline-inference throughput and parallel chunked-codec throughput.
 //!
 //! Unlike `fig12_npe` (the analytic capacity model), every number here is
 //! wall-clock measured on the real threaded engine over real compressed
 //! sidecars. On single-core machines the decode pool cannot speed up, but
 //! batched FE still does (weights stream from memory once per batch
-//! instead of once per photo) — the JSON records the host's CPU count so
-//! scaling numbers can be read in context.
+//! instead of once per photo) — the report records the host's CPU count
+//! so scaling numbers can be read in context.
 
 use crate::util::{fmt, Report};
 use dnn::Mlp;
@@ -104,7 +103,7 @@ pub struct CodecPoint {
     pub decompress_mb_s: f64,
 }
 
-/// Everything the bench measures, ready for rendering as text or JSON.
+/// Everything the bench measures, ready for rendering.
 #[derive(Debug, Clone)]
 pub struct NpeMeasurements {
     /// The workload that was run.
@@ -257,67 +256,6 @@ pub fn measure_with(p: &BenchParams) -> NpeMeasurements {
     }
 }
 
-/// Renders the measurements as the machine-readable JSON artifact.
-pub fn to_json(m: &NpeMeasurements) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"npe_pipeline\",\n");
-    s.push_str(&format!("  \"cpus\": {},\n", m.cpus));
-    s.push_str(&format!("  \"photos\": {},\n", m.params.photos));
-    s.push_str(&format!(
-        "  \"sidecar_bytes\": {},\n",
-        m.params.sidecar_bytes
-    ));
-    s.push_str(&format!("  \"serial_ips\": {:.2},\n", m.serial_ips));
-    s.push_str(&format!(
-        "  \"pipelined_ips\": {:.2},\n",
-        m.best_pipelined_ips()
-    ));
-    s.push_str(&format!("  \"speedup_vs_serial\": {:.3},\n", m.speedup()));
-    s.push_str("  \"pipelined\": [\n");
-    for (i, pt) in m.pipelined.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"decomp_workers\": {}, \"ips\": {:.2}, \"wall_secs\": {:.4}, \
-             \"occupancy\": {{\"load\": {:.3}, \"decode\": {:.3}, \"fe\": {:.3}}}}}{}\n",
-            pt.decomp_workers,
-            pt.ips,
-            pt.wall_secs,
-            pt.occupancy[0],
-            pt.occupancy[1],
-            pt.occupancy[2],
-            if i + 1 < m.pipelined.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"codec\": {\n");
-    s.push_str(&format!(
-        "    \"input_mb\": {:.2},\n",
-        m.params.codec_bytes as f64 / 1e6
-    ));
-    s.push_str(&format!(
-        "    \"chunk_bytes\": {},\n",
-        deflate::DEFAULT_CHUNK_SIZE
-    ));
-    s.push_str("    \"points\": [\n");
-    for (i, pt) in m.codec.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{\"threads\": {}, \"compress_mb_s\": {:.2}, \"decompress_mb_s\": {:.2}}}{}\n",
-            pt.threads,
-            pt.compress_mb_s,
-            pt.decompress_mb_s,
-            if i + 1 < m.codec.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("    ],\n");
-    s.push_str(&format!(
-        "    \"decompress_speedup_widest\": {:.3}\n",
-        m.codec_decompress_speedup()
-    ));
-    s.push_str("  }\n");
-    s.push_str("}\n");
-    s
-}
-
 /// Renders the measurements as a human-readable report.
 pub fn render(m: &NpeMeasurements) -> String {
     let mut r = Report::new(
@@ -339,42 +277,48 @@ pub fn render(m: &NpeMeasurements) -> String {
     r.row(&[
         "serial".into(),
         "1".into(),
-        fmt(m.serial_ips, 1),
-        fmt(m.serial_secs, 3),
+        fmt(m.serial_ips, 2),
+        fmt(m.serial_secs, 4),
         "-".into(),
     ]);
     for pt in &m.pipelined {
         r.row(&[
             "pipelined".into(),
             pt.decomp_workers.to_string(),
-            fmt(pt.ips, 1),
-            fmt(pt.wall_secs, 3),
+            fmt(pt.ips, 2),
+            fmt(pt.wall_secs, 4),
             format!(
                 "{}/{}/{}",
-                fmt(pt.occupancy[0], 2),
-                fmt(pt.occupancy[1], 2),
-                fmt(pt.occupancy[2], 2)
+                fmt(pt.occupancy[0], 3),
+                fmt(pt.occupancy[1], 3),
+                fmt(pt.occupancy[2], 3)
             ),
         ]);
     }
     r.blank();
     r.note(&format!(
-        "best pipelined speedup over serial: {:.2}x ({} photos, {} KiB sidecars)",
+        "best pipelined: {:.2} IPS, {:.3}x over serial ({} photos, {} B sidecars)",
+        m.best_pipelined_ips(),
         m.speedup(),
         m.params.photos,
-        m.params.sidecar_bytes / 1024
+        m.params.sidecar_bytes
     ));
     r.blank();
+    r.note(&format!(
+        "codec sweep: {:.2} MB input, {} B chunks",
+        m.params.codec_bytes as f64 / 1e6,
+        deflate::DEFAULT_CHUNK_SIZE
+    ));
     r.header(&["codec threads", "compress MB/s", "decompress MB/s"]);
     for pt in &m.codec {
         r.row(&[
             pt.threads.to_string(),
-            fmt(pt.compress_mb_s, 1),
-            fmt(pt.decompress_mb_s, 1),
+            fmt(pt.compress_mb_s, 2),
+            fmt(pt.decompress_mb_s, 2),
         ]);
     }
     r.note(&format!(
-        "chunked decompression speedup at widest sweep point: {:.2}x",
+        "chunked decompression speedup at widest sweep point: {:.3}x",
         m.codec_decompress_speedup()
     ));
     r.render()
@@ -395,32 +339,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tiny_measurement_is_consistent_and_json_is_well_formed() {
+    fn tiny_measurement_is_consistent() {
         let m = measure_with(&BenchParams::tiny());
         assert!(m.serial_ips > 0.0);
         assert_eq!(m.pipelined.len(), 3);
         assert_eq!(m.codec.len(), 3);
         assert!(m.best_pipelined_ips() > 0.0);
-
-        let json = to_json(&m);
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces:\n{json}"
-        );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        for key in [
-            "\"bench\"",
-            "\"serial_ips\"",
-            "\"pipelined_ips\"",
-            "\"speedup_vs_serial\"",
-            "\"decomp_workers\"",
-            "\"compress_mb_s\"",
-            "\"decompress_speedup_widest\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert!(!json.contains("NaN") && !json.contains("inf"));
 
         let text = render(&m);
         assert!(text.contains("pipelined"));

@@ -1,6 +1,5 @@
 //! Placement self-healing: read-failover (reroute) latency and
-//! rebalance throughput against real loopback `PipeStoreServer` fleets,
-//! with a machine-readable artifact (`BENCH_placement.json`).
+//! rebalance throughput against real loopback `PipeStoreServer` fleets.
 //!
 //! Per fleet size the bench replicates a synthetic photo corpus R ways,
 //! measures healthy read latency, kills one store *without updating the
@@ -217,55 +216,6 @@ pub fn measure_with(p: &PlacementParams) -> PlacementMeasurements {
     PlacementMeasurements { params: *p, fleets }
 }
 
-/// Renders the measurements as the machine-readable JSON artifact.
-pub fn to_json(m: &PlacementMeasurements) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"placement_rebalance\",\n");
-    s.push_str(&format!("  \"replicas\": {},\n", m.params.replicas));
-    s.push_str(&format!("  \"photos\": {},\n", m.params.photos));
-    s.push_str(&format!("  \"blob_bytes\": {},\n", m.params.blob_bytes));
-    s.push_str("  \"fleets\": [\n");
-    for (i, f) in m.fleets.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"peers\": {},\n", f.peers));
-        s.push_str(&format!("      \"healthy_reads\": {},\n", f.healthy_reads));
-        s.push_str(&format!(
-            "      \"healthy_mean_ms\": {:.4},\n",
-            f.healthy_mean_ms
-        ));
-        s.push_str(&format!("      \"reroute_reads\": {},\n", f.reroute_reads));
-        s.push_str(&format!(
-            "      \"reroute_mean_ms\": {:.4},\n",
-            f.reroute_mean_ms
-        ));
-        s.push_str(&format!(
-            "      \"rebalance_photos\": {},\n",
-            f.rebalance_photos
-        ));
-        s.push_str(&format!(
-            "      \"rebalance_bytes\": {},\n",
-            f.rebalance_bytes
-        ));
-        s.push_str(&format!(
-            "      \"rebalance_secs\": {:.5},\n",
-            f.rebalance_secs
-        ));
-        s.push_str(&format!(
-            "      \"rebalance_mb_per_s\": {:.3}\n",
-            f.rebalance_mb_per_s()
-        ));
-        s.push_str(if i + 1 < m.fleets.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
-}
-
 /// Renders the measurements as a human-readable report.
 pub fn render(m: &PlacementMeasurements) -> String {
     let mut r = Report::new(
@@ -273,28 +223,32 @@ pub fn render(m: &PlacementMeasurements) -> String {
         "read failover latency and rebalance throughput per fleet size",
     );
     r.note(&format!(
-        "R = {}, {} photos x {} KiB blobs, one store killed per fleet",
-        m.params.replicas,
-        m.params.photos,
-        m.params.blob_bytes >> 10
+        "R = {}, {} photos x {} B blobs, one store killed per fleet",
+        m.params.replicas, m.params.photos, m.params.blob_bytes
     ));
     r.blank();
     r.header(&[
         "peers",
+        "healthy reads",
         "healthy ms",
-        "reroute ms",
         "reroutes",
+        "reroute ms",
         "heal photos",
+        "heal bytes",
+        "heal s",
         "heal MB/s",
     ]);
     for f in &m.fleets {
         r.row(&[
             f.peers.to_string(),
-            fmt(f.healthy_mean_ms, 3),
-            fmt(f.reroute_mean_ms, 3),
+            f.healthy_reads.to_string(),
+            fmt(f.healthy_mean_ms, 4),
             f.reroute_reads.to_string(),
+            fmt(f.reroute_mean_ms, 4),
             f.rebalance_photos.to_string(),
-            fmt(f.rebalance_mb_per_s(), 1),
+            f.rebalance_bytes.to_string(),
+            fmt(f.rebalance_secs, 5),
+            fmt(f.rebalance_mb_per_s(), 3),
         ]);
     }
     r.render()
@@ -315,7 +269,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tiny_measurement_produces_valid_json() {
+    fn tiny_measurement_heals_the_fleet() {
         let m = measure_with(&PlacementParams::tiny());
         assert_eq!(m.fleets.len(), 1);
         let f = &m.fleets[0];
@@ -324,18 +278,6 @@ mod tests {
         assert!(f.rebalance_photos > 0, "kill must trigger backfill");
         assert!(f.rebalance_bytes > 0);
         assert!(f.healthy_mean_ms >= 0.0 && f.reroute_mean_ms > 0.0);
-
-        let json = to_json(&m);
-        telemetry::export::validate_json(&json).expect("well-formed JSON");
-        for key in [
-            "\"bench\"",
-            "\"fleets\"",
-            "\"reroute_mean_ms\"",
-            "\"rebalance_mb_per_s\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert!(!json.contains("NaN") && !json.contains("inf"));
 
         let text = render(&m);
         assert!(text.contains("Placement self-healing"));

@@ -1,7 +1,6 @@
 //! Telemetry instrumentation overhead: measured NPE pipelined IPS with the
 //! `ndpipe-telemetry` kill-switch off (uninstrumented baseline) vs. on
-//! (every hot-path counter, histogram, and queue-depth sample live), with
-//! a machine-readable artifact (`BENCH_telemetry_overhead.json`).
+//! (every hot-path counter, histogram, and queue-depth sample live).
 //!
 //! The acceptance bar is < 5% IPS regression. Runs of the two modes are
 //! interleaved so thermal/frequency drift hits both equally, and each
@@ -54,7 +53,7 @@ impl OverheadParams {
     }
 }
 
-/// Everything the bench measures, ready for rendering as text or JSON.
+/// Everything the bench measures, ready for rendering.
 #[derive(Debug, Clone)]
 pub struct OverheadMeasurements {
     /// The workload that was run.
@@ -137,47 +136,6 @@ pub fn measure_with(p: &OverheadParams) -> OverheadMeasurements {
     }
 }
 
-fn json_run_list(runs: &[f64]) -> String {
-    let items: Vec<String> = runs.iter().map(|r| format!("{r:.2}")).collect();
-    format!("[{}]", items.join(", "))
-}
-
-/// Renders the measurements as the machine-readable JSON artifact.
-pub fn to_json(m: &OverheadMeasurements) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"telemetry_overhead\",\n");
-    s.push_str(&format!("  \"cpus\": {},\n", m.cpus));
-    s.push_str(&format!("  \"photos\": {},\n", m.params.base.photos));
-    s.push_str(&format!(
-        "  \"sidecar_bytes\": {},\n",
-        m.params.base.sidecar_bytes
-    ));
-    s.push_str(&format!(
-        "  \"decomp_workers\": {},\n",
-        m.params.decomp_workers
-    ));
-    s.push_str(&format!("  \"repeats\": {},\n", m.params.repeats));
-    s.push_str(&format!("  \"baseline_ips\": {:.2},\n", m.baseline_ips()));
-    s.push_str(&format!(
-        "  \"instrumented_ips\": {:.2},\n",
-        m.instrumented_ips()
-    ));
-    s.push_str(&format!("  \"overhead_pct\": {:.3},\n", m.overhead_pct()));
-    s.push_str(&format!("  \"pass_under_5pct\": {},\n", m.pass()));
-    s.push_str(&format!("  \"registry_series\": {},\n", m.registry_series));
-    s.push_str(&format!(
-        "  \"baseline_runs_ips\": {},\n",
-        json_run_list(&m.baseline_runs)
-    ));
-    s.push_str(&format!(
-        "  \"instrumented_runs_ips\": {}\n",
-        json_run_list(&m.instrumented_runs)
-    ));
-    s.push_str("}\n");
-    s
-}
-
 /// Renders the measurements as a human-readable report.
 pub fn render(m: &OverheadMeasurements) -> String {
     let mut r = Report::new(
@@ -185,35 +143,21 @@ pub fn render(m: &OverheadMeasurements) -> String {
         "NPE pipelined IPS, kill-switch off (baseline) vs on (instrumented)",
     );
     r.note(&format!(
-        "host parallelism: {}, {} photos, {} KiB sidecars, {} decode workers",
-        m.cpus,
-        m.params.base.photos,
-        m.params.base.sidecar_bytes / 1024,
-        m.params.decomp_workers
+        "host parallelism: {}, {} photos, {} B sidecars, {} decode workers",
+        m.cpus, m.params.base.photos, m.params.base.sidecar_bytes, m.params.decomp_workers
     ));
     r.blank();
-    r.header(&["mode", "best IPS", "runs"]);
-    r.row(&[
-        "baseline (disabled)".into(),
-        fmt(m.baseline_ips(), 1),
-        m.baseline_runs
-            .iter()
-            .map(|x| fmt(*x, 0))
-            .collect::<Vec<_>>()
-            .join(" "),
-    ]);
-    r.row(&[
-        "instrumented".into(),
-        fmt(m.instrumented_ips(), 1),
-        m.instrumented_runs
-            .iter()
-            .map(|x| fmt(*x, 0))
-            .collect::<Vec<_>>()
-            .join(" "),
-    ]);
+    r.header(&["mode", "best IPS", "runs IPS"]);
+    for (mode, best, runs) in [
+        ("baseline (disabled)", m.baseline_ips(), &m.baseline_runs),
+        ("instrumented", m.instrumented_ips(), &m.instrumented_runs),
+    ] {
+        let runs: Vec<String> = runs.iter().map(|x| fmt(*x, 2)).collect();
+        r.row(&[mode.into(), fmt(best, 2), runs.join(" ")]);
+    }
     r.blank();
     r.note(&format!(
-        "overhead: {:.2}% ({} metric series live) — acceptance bar < 5%: {}",
+        "overhead: {:.3}% ({} metric series live) — acceptance bar < 5%: {}",
         m.overhead_pct(),
         m.registry_series,
         if m.pass() { "PASS" } else { "FAIL" }
@@ -236,7 +180,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tiny_measurement_produces_valid_json_and_restores_kill_switch() {
+    fn tiny_measurement_restores_kill_switch() {
         let before = telemetry::enabled();
         let m = measure_with(&OverheadParams::tiny());
         assert_eq!(telemetry::enabled(), before, "kill-switch not restored");
@@ -248,19 +192,6 @@ mod tests {
             m.registry_series > 0,
             "instrumented runs left no metric series"
         );
-
-        let json = to_json(&m);
-        telemetry::export::validate_json(&json).expect("well-formed JSON");
-        for key in [
-            "\"bench\"",
-            "\"baseline_ips\"",
-            "\"instrumented_ips\"",
-            "\"overhead_pct\"",
-            "\"pass_under_5pct\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert!(!json.contains("NaN") && !json.contains("inf"));
 
         let text = render(&m);
         assert!(text.contains("instrumented"));

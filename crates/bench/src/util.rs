@@ -1,10 +1,4 @@
-//! Report formatting shared by every experiment binary.
-
-/// Whether `--fast` was passed on the command line (smaller, noisier
-/// configurations for smoke runs).
-pub fn fast_flag() -> bool {
-    std::env::args().any(|a| a == "--fast")
-}
+//! Report formatting shared by every report.
 
 /// A plain-text experiment report: a title, TSV rows, and free-form
 /// paper-vs-measured notes.

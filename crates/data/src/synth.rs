@@ -132,16 +132,6 @@ impl ClassUniverse {
         self.prototypes.push(Tensor::randn(&[self.latent_dim], rng));
         self.prototypes.len() - 1
     }
-
-    /// Euclidean distance between two class prototypes (a proxy for how
-    /// confusable they are).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either class is out of range.
-    pub fn prototype_distance(&self, a: usize, b: usize) -> f32 {
-        self.prototypes[a].sub(&self.prototypes[b]).frobenius_norm()
-    }
 }
 
 #[cfg(test)]

@@ -105,16 +105,6 @@ impl DiskSpec {
         self.latency_secs + bytes / self.read_bps
     }
 
-    /// Seconds to sequentially write `bytes` (latency + transfer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is negative.
-    pub fn write_time_secs(&self, bytes: f64) -> f64 {
-        assert!(bytes >= 0.0, "bytes must be non-negative");
-        self.latency_secs + bytes / self.write_bps
-    }
-
     /// Power drawn at a utilization in `[0, 1]`.
     pub fn power_at(&self, utilization: f64) -> f64 {
         let u = utilization.clamp(0.0, 1.0);

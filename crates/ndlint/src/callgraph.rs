@@ -134,14 +134,6 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    /// Node id of the fn declared at `(file, decl)`, if it was indexed.
-    pub fn node_of(&self, file: usize, decl: usize) -> Option<usize> {
-        // Nodes are pushed in (file, decl) order; binary search works.
-        self.nodes
-            .binary_search_by_key(&(file, decl), |n| (n.file, n.decl))
-            .ok()
-    }
-
     /// Total number of resolved edges (call sites).
     pub fn edge_count(&self) -> usize {
         self.calls.iter().map(Vec::len).sum()

@@ -74,10 +74,9 @@ impl Token {
 pub struct Annotation {
     /// Line the directive comment sits on.
     pub line: u32,
-    /// The rule name inside `allow(...)`.
+    /// The rule name inside `allow(...)`. A directive without a
+    /// non-empty `reason = "..."` is malformed and never becomes one.
     pub rule: String,
-    /// Whether a non-empty `reason = "..."` was given.
-    pub has_reason: bool,
 }
 
 /// Overload policies a bounded queue may declare.
@@ -252,11 +251,7 @@ impl Lexer {
             return;
         }
         match verb {
-            "allow" => self.out.annotations.push(Annotation {
-                line,
-                rule: head,
-                has_reason: true,
-            }),
+            "allow" => self.out.annotations.push(Annotation { line, rule: head }),
             _ => {
                 if !POLICY_KINDS.contains(&head.as_str()) {
                     self.out.malformed.push((

@@ -1,6 +1,6 @@
 //! Directive hygiene: a typo'd `// ndlint:` comment must not silently
-//! disable a rule, so malformed directives, unknown rule names, and
-//! reason-less allows are all findings in their own right.
+//! disable a rule, so malformed directives (a reason-less allow among
+//! them) and unknown rule names are findings in their own right.
 
 use crate::scan::SourceFile;
 use crate::{Finding, KNOWN_RULES};
@@ -26,17 +26,6 @@ pub fn check(sf: &SourceFile, out: &mut Vec<Finding>) {
                     "unknown rule `{}` in ndlint allow (known: {})",
                     ann.rule,
                     KNOWN_RULES.join(", ")
-                ),
-            });
-        } else if !ann.has_reason {
-            out.push(Finding {
-                rule: "directive",
-                file: sf.rel.clone(),
-                line: ann.line,
-                col: 0,
-                message: format!(
-                    "allow({}) without a reason; write `// ndlint: allow({}, reason = \"...\")`",
-                    ann.rule, ann.rule
                 ),
             });
         }

@@ -4,7 +4,6 @@
 //! indexing outside `#[cfg(test)]`. A panic in these paths unwinds through
 //! a connection thread or a bounded channel send and wedges the system.
 
-use crate::lexer::Token;
 use crate::scan::{SourceFile, KEYWORDS};
 use crate::{Config, Finding, FnFilter};
 
@@ -105,10 +104,4 @@ fn scan_body(sf: &SourceFile, fn_name: &str, open: usize, close: usize, out: &mu
             });
         }
     }
-}
-
-/// Convenience for tests: does the token slice contain a panicking macro
-/// name? (Used by fixture assertions.)
-pub fn is_panic_macro(tok: &Token) -> bool {
-    tok.ident().is_some_and(|n| PANIC_MACROS.contains(&n))
 }

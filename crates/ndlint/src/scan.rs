@@ -83,7 +83,7 @@ impl SourceFile {
     /// the directly preceding comment line(s).
     pub fn allowed(&self, rule: &str, line: u32) -> bool {
         self.lexed.annotations.iter().any(|a| {
-            a.rule == rule && a.has_reason && {
+            a.rule == rule && {
                 // Trailing on the flagged line, or a standalone comment
                 // line (no code tokens of its own) directly above it.
                 a.line == line

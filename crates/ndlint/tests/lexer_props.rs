@@ -110,6 +110,5 @@ proptest! {
         let lexed = lex(&src);
         prop_assert_eq!(lexed.annotations.len(), 1);
         prop_assert_eq!(lexed.annotations[0].line as usize, pad + 1);
-        prop_assert!(lexed.annotations[0].has_reason);
     }
 }

@@ -55,11 +55,6 @@ impl SimTime {
         self.0 * 1e3
     }
 
-    /// The value in minutes.
-    pub fn as_minutes(self) -> f64 {
-        self.0 / 60.0
-    }
-
     /// The later of two times.
     pub fn max(self, other: SimTime) -> SimTime {
         if other.0 > self.0 {

@@ -5,7 +5,8 @@
 //! defs, so a name cannot drift between call sites, a counter cannot be
 //! re-registered as a gauge, and a metric that is not in the catalog does
 //! not compile. The tests below hold the catalog to the naming scheme and
-//! to DESIGN.md's `### Canonical metric names` table, in both directions;
+//! to DESIGN.md's `### Canonical metric names` table (name, kind and
+//! HELP text against the meaning cell), in both directions;
 //! the workspace test `every_catalog_metric_is_registered_outside_tests`
 //! fails on an entry that no non-test code outside this crate registers.
 //! A new metric is one row here, one row there, and a registration site.
@@ -64,10 +65,11 @@ macro_rules! catalog {
             pub const $id: catalog!(@def $kind) = <catalog!(@def $kind)>::new($name, $help);
         )*
 
-        /// Every catalogued metric as `(const, name, kind)`: the const's
-        /// identifier in this module, the metric name, and one of
-        /// `counter`, `gauge` or `histogram`.
-        pub const ALL: &[(&str, &str, &str)] = &[$((stringify!($id), $name, stringify!($kind))),*];
+        /// Every catalogued metric as `(const, name, kind, help)`: the
+        /// const's identifier in this module, the metric name, one of
+        /// `counter`, `gauge` or `histogram`, and the HELP text.
+        pub const ALL: &[(&str, &str, &str, &str)] =
+            &[$((stringify!($id), $name, stringify!($kind), $help)),*];
     };
     (@def counter) => { CounterDef };
     (@def gauge) => { GaugeDef };
@@ -98,9 +100,9 @@ catalog! {
     counter STORE_PREPROC_BYTES_TOTAL = "ndpipe_store_preproc_bytes_total",
         "uncompressed preprocessed-binary bytes ingested";
     counter FEATURE_CACHE_HITS_TOTAL = "ndpipe_feature_cache_hits_total",
-        "feature slices served from the store's cache without a forward";
+        "FT-DMP feature slices a store served from its cache without a forward";
     counter FEATURE_CACHE_MISSES_TOTAL = "ndpipe_feature_cache_misses_total",
-        "feature slices extracted through the NPE engine and cached";
+        "FT-DMP feature slices a store extracted through the NPE engine and cached";
     counter RPC_SERVER_REQUESTS_TOTAL = "ndpipe_rpc_server_requests_total",
         "requests handled by this store's RPC server";
     histogram RPC_SERVER_OP_SECONDS = "ndpipe_rpc_server_op_seconds",
@@ -112,7 +114,7 @@ catalog! {
     counter RPC_CLIENT_REQUESTS_TOTAL = "ndpipe_rpc_client_requests_total",
         "RPC calls issued by this process";
     histogram RPC_CLIENT_OP_SECONDS = "ndpipe_rpc_client_op_seconds",
-        "round-trip latency per operation";
+        "client-observed round-trip latency per operation";
     counter RPC_CLIENT_BYTES_READ_TOTAL = "ndpipe_rpc_client_bytes_read_total",
         "reply bytes read off the wire";
     counter RPC_CLIENT_BYTES_WRITTEN_TOTAL = "ndpipe_rpc_client_bytes_written_total",
@@ -162,7 +164,7 @@ catalog! {
     histogram ONLINE_BATCH_SIZE = "ndpipe_online_batch_size",
         "requests served per dynamically formed batch";
     counter ONLINE_COALESCED_TOTAL = "ndpipe_online_coalesced_total",
-        "inference rows served by cross-session coalesced batches";
+        "Infer rows served through multi-row coalesced batches";
     counter OBJSTORE_OPS_TOTAL = "ndpipe_objstore_ops_total",
         "object-store operations";
     counter OBJSTORE_BYTES_WRITTEN_TOTAL = "ndpipe_objstore_bytes_written_total",
@@ -178,7 +180,7 @@ catalog! {
     counter GEMM_FLOPS_TOTAL = "ndpipe_gemm_flops_total",
         "f32 floating-point operations executed by the packed GEMM driver";
     counter GEMM_FAST_FLOPS_TOTAL = "ndpipe_gemm_fast_flops_total",
-        "GEMM flops executed by the opt-in fast/int8 kernel families";
+        "floating-point operations executed by the opt-in fast/int8 kernel families";
     gauge QUANT_ACCURACY_DELTA = "ndpipe_quant_accuracy_delta",
         "largest top-1 accuracy gap between deterministic f32 and int8 feature extraction";
     gauge POOL_QUEUE_DEPTH = "ndpipe_pool_queue_depth",
@@ -199,7 +201,7 @@ mod tests {
     #[test]
     fn names_follow_the_scheme_and_are_unique() {
         let mut seen = BTreeSet::new();
-        for &(_, name, kind) in ALL {
+        for &(_, name, kind, _) in ALL {
             let body = name.strip_prefix("ndpipe_");
             assert!(body.is_some(), "`{name}` must use the `ndpipe_` prefix");
             let snake = name
@@ -219,9 +221,12 @@ mod tests {
         }
     }
 
+    type Row = (String, String, String);
+
     /// Rows of the markdown table under DESIGN.md's `### Canonical metric
-    /// names` heading, shaped `| \`name\` | kind | ... |`.
-    fn design_table(design: &str) -> BTreeSet<(String, String)> {
+    /// names` heading, shaped `| \`name\` | kind | labels | meaning |`,
+    /// as `(name, kind, meaning)`.
+    fn design_table(design: &str) -> BTreeSet<Row> {
         let mut in_section = false;
         let mut table = BTreeSet::new();
         for line in design.lines().map(str::trim) {
@@ -234,8 +239,12 @@ mod tests {
             }
             let cells: Vec<&str> = line.trim_matches('|').split('|').map(str::trim).collect();
             let name = cells[0].trim_matches('`');
-            if name.starts_with("ndpipe_") && cells.len() >= 2 {
-                table.insert((name.to_string(), cells[1].to_ascii_lowercase()));
+            if name.starts_with("ndpipe_") && cells.len() >= 4 {
+                table.insert((
+                    name.to_string(),
+                    cells[1].to_ascii_lowercase(),
+                    cells[3].to_string(),
+                ));
             }
         }
         table
@@ -248,19 +257,19 @@ mod tests {
             !design.is_empty(),
             "DESIGN.md lost its canonical metric table"
         );
-        let code: BTreeSet<(String, String)> = ALL
+        let code: BTreeSet<Row> = ALL
             .iter()
-            .map(|&(_, n, k)| (n.to_string(), k.to_string()))
+            .map(|&(_, n, k, h)| (n.to_string(), k.to_string(), h.to_string()))
             .collect();
         let missing: Vec<_> = code.difference(&design).collect();
         let unregistered: Vec<_> = design.difference(&code).collect();
         assert!(
             missing.is_empty(),
-            "catalogued but not in DESIGN.md: {missing:?}"
+            "catalogued (name, kind, HELP) not in DESIGN.md: {missing:?}"
         );
         assert!(
             unregistered.is_empty(),
-            "in DESIGN.md but not catalogued: {unregistered:?}"
+            "DESIGN.md (name, kind, meaning) not catalogued: {unregistered:?}"
         );
     }
 
@@ -268,15 +277,17 @@ mod tests {
     fn design_table_parser_stays_inside_its_section() {
         let md = "\
 # DESIGN\n\n### Canonical metric names\n\n\
-| name | kind | meaning |\n|---|---|---|\n\
-| `ndpipe_x_total` | counter | things |\n\
-| `ndpipe_y` | gauge | level |\n\n## Next section\n\
-| `ndpipe_not_in_table` | counter | outside the section |\n";
-        let want: BTreeSet<(String, String)> =
-            [("ndpipe_x_total", "counter"), ("ndpipe_y", "gauge")]
-                .iter()
-                .map(|&(n, k)| (n.to_string(), k.to_string()))
-                .collect();
+| name | kind | labels | meaning |\n|---|---|---|---|\n\
+| `ndpipe_x_total` | counter | `op` | things |\n\
+| `ndpipe_y` | gauge | — | level |\n\n## Next section\n\
+| `ndpipe_not_in_table` | counter | — | outside the section |\n";
+        let want: BTreeSet<Row> = [
+            ("ndpipe_x_total", "counter", "things"),
+            ("ndpipe_y", "gauge", "level"),
+        ]
+        .iter()
+        .map(|&(n, k, m)| (n.to_string(), k.to_string(), m.to_string()))
+        .collect();
         assert_eq!(design_table(md), want);
     }
 }

@@ -312,11 +312,6 @@ where
     Ok(out)
 }
 
-/// Number of workers the pool has spawned so far (diagnostics/tests).
-pub fn spawned_workers() -> usize {
-    pool().spawned.load(Ordering::Acquire)
-}
-
 /// Best-effort extraction of a panic payload's message.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {

@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
-# Full local gate: build, test (ndlint included), clippy, then the
-# bench smoke, soaks and sanitizer runs.
+# Full local gate: format, build, test (ndlint included), clippy, then
+# the bench smoke, soaks and sanitizer runs.
 # Mirrors what CI runs; exits non-zero on the first failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Formatting first: every workspace crate must be rustfmt-clean (the
+# ledger is not a workspace member and is not checked here).
+cargo fmt --all --check
 cargo build --release
-# Every target of every crate, so the criterion benches and examples
-# compile even though no test runs them.
+# Every target of every crate, so the examples compile even though no
+# test runs them.
 cargo build --release --workspace --all-targets
 # Root suite plus every crate's own unit/property tests (the schedule
 # state machine, wire codecs, ndlint's fixtures, ... live there).
@@ -29,16 +32,10 @@ git diff --exit-code -- ledger/
 # unbounded channel constructors errors; ndlint's own pass already ran as
 # the root suite's `workspace_is_lint_clean` under `cargo test` above.
 cargo clippy -q --workspace --all-targets -- -D warnings
-# Bench smoke: the measured benches must run end-to-end and write their
-# JSON artifacts (fast configs; numbers are noisy, existence is the gate).
-cargo run -q -p bench --release --bin bench_report -- --fast >/dev/null
-test -s results/BENCH_npe_pipeline.json
-test -s results/BENCH_gemm_kernel.json
-test -s results/BENCH_gemm_fast.json
-test -s results/BENCH_telemetry_overhead.json
-test -s results/BENCH_rpc_concurrency.json
-test -s results/BENCH_placement.json
-test -s results/BENCH_ftdmp_pipeline.json
+# Bench smoke: the measured reports must run end to end and exit 0
+# (fast configs; numbers are noisy, completion is the gate).
+cargo run -q -p bench --release --bin repro -- --fast npe_pipeline gemm_kernel gemm_fast \
+    telemetry_overhead rpc_concurrency placement_rebalance ftdmp_pipeline >/dev/null
 # RPC server stress smoke (8 concurrent sessions against one PipeStore)
 # and the placement rejoin soak (kill/restart/rejoin every node).
 cargo test -q --release --test cluster_failover -- --ignored

@@ -249,7 +249,7 @@ fn unregistered_catalog_entries(files: &[ndlint::scan::SourceFile]) -> Vec<&'sta
     }
     telemetry::catalog::ALL
         .iter()
-        .map(|&(id, _, _)| id)
+        .map(|&(id, ..)| id)
         .filter(|id| !named.contains(*id))
         .collect()
 }
